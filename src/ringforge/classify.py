@@ -21,7 +21,7 @@ from scipy.sparse.csgraph import connected_components
 
 from . import gl, linalg
 from .counting import gaussian_binomial
-from .matspace import SubspaceKey, subspace_rows
+from .matspace import SubspaceKey, dead_indices, subspace_rows
 
 __all__ = [
     "BudgetExceededError", "OrbitClass", "ClassReport", "OrbitResult",
@@ -116,10 +116,7 @@ class OrbitResult:
 def _matrix_orbit_flags(q, s, orbit_codes):
     m = s * s
     mats = linalg.decode_codes(np.asarray(orbit_codes), q, m).reshape(-1, s, s)
-    dead_any = np.zeros(len(mats), dtype=bool)
-    for i in range(s):
-        dead_i = (mats[:, i, :] == 0).all(axis=1) & (mats[:, :, i] == 0).all(axis=1)
-        dead_any |= dead_i
+    dead_any = dead_indices(mats[:, None]).any(axis=1)
     nonzero = np.asarray(orbit_codes) != 0
     contains = bool((nonzero & ~dead_any).any())
     rep = mats[0]
@@ -128,7 +125,7 @@ def _matrix_orbit_flags(q, s, orbit_codes):
 
 
 def classify_congruence(F, s: int, symmetric_only: bool = False,
-                        budget=None, workers: int = 1) -> ClassReport:
+                        budget=None) -> ClassReport:
     """Partition all s x s matrices over F into congruence classes."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
@@ -163,11 +160,13 @@ def classify_congruence(F, s: int, symmetric_only: bool = False,
         imgs = linalg.linmap_apply(F, vec, P)
         orbit = np.unique(linalg.encode_rows(imgs, q))
         visited[orbit] = True
-        assert orbit[0] == code
+        if orbit[0] != code:
+            raise RuntimeError(f"matrix {code} is not the minimum of its orbit")
         rep, contains, commut = _matrix_orbit_flags(q, s, orbit)
         classes.append(OrbitClass(rep, len(orbit), contains, commut))
         covered += len(orbit)
-    assert covered == len(ground)
+    if covered != len(ground):
+        raise RuntimeError(f"orbits cover {covered} of {len(ground)} matrices")
     return ClassReport(
         kind="congruence",
         params={
@@ -187,10 +186,6 @@ def _normalize_lines(F, W):
     """Scale rows of (N, m) so the leading nonzero entry is 1."""
     lead_idx = np.argmax(W != 0, axis=1)
     lead = W[np.arange(len(W)), lead_idx]
-    if F.r == 1:
-        invs = np.array([0] + [pow(a, F.p - 2, F.p) for a in range(1, F.p)],
-                        dtype=np.int64)
-        return (W * invs[lead][:, None]) % F.p
     return F._mul_raw(W, F._inv[lead][:, None])
 
 
@@ -200,18 +195,14 @@ def _canon_rows(F, imgs, t):
         N, _, m = imgs.shape
         return _normalize_lines(F, imgs.reshape(N, m)).reshape(N, t, m)
     R, ranks = linalg.rref_batch(F, imgs)
-    assert (ranks == t).all(), "orbit image lost rank"
+    if (ranks != t).any():
+        raise RuntimeError(f"orbit image lost rank: expected {t}, got {ranks.min()}")
     return R
 
 
 def _subspace_orbit_flags(s, t, orbit_rows):
     arr = orbit_rows.reshape(-1, t, s, s)
-    dead_any = np.zeros(len(arr), dtype=bool)
-    for i in range(s):
-        dead_i = (arr[:, :, i, :] == 0).all(axis=(1, 2)) & \
-                 (arr[:, :, :, i] == 0).all(axis=(1, 2))
-        dead_any |= dead_i
-    contains = bool((~dead_any).any())
+    contains = bool((~dead_indices(arr).any(axis=1)).any())
     rep = arr[0]
     commut = bool((rep == rep.transpose(0, 2, 1)).all())
     return contains, commut
@@ -223,16 +214,23 @@ def _make_key(s, t, row) -> SubspaceKey:
     return SubspaceKey(s=s, rank=t, rows=rows)
 
 
-def _sweep_subspaces(F, s, t, use_frobenius, rows, codes, index_range=None):
+def _ground_index(codes, keys):
+    """Positions of keys in the sorted ground-set codes, all of which must occur."""
+    pos = np.minimum(np.searchsorted(codes, keys), len(codes) - 1)
+    if (codes[pos] != keys).any():
+        raise RuntimeError("orbit image left the ground set")
+    return pos
+
+
+def _sweep_subspaces(F, s, t, use_frobenius, rows, codes):
     q, m = F.q, s * s
     Gmats = gl.enumerate_gl(F, s)
     P = linalg.kron_batch(F, Gmats)
     exps = list(F.automorphism_exponents()) if (use_frobenius and F.r > 1) else [0]
     N = len(rows)
-    lo, hi = index_range if index_range is not None else (0, N)
     visited = np.zeros(N, dtype=bool)
     out = []
-    for idx in range(lo, hi):
+    for idx in range(N):
         if visited[idx]:
             continue
         V = rows[idx].reshape(t, m)
@@ -242,16 +240,14 @@ def _sweep_subspaces(F, s, t, use_frobenius, rows, codes, index_range=None):
             R = _canon_rows(F, imgs, t)
             keys_per_exp.append(linalg.encode_rows(R.reshape(len(Gmats), t * m), q))
         keys = np.unique(np.concatenate(keys_per_exp))
-        pos = np.searchsorted(codes, keys)
-        assert (codes[pos] == keys).all(), "orbit image left the ground set"
+        pos = _ground_index(codes, keys)
         visited[pos] = True
-        canon = int(pos[0])
-        if index_range is None:
-            # ascending discovery order makes the first unvisited object the
-            # orbit minimum; a partition worker can land mid-orbit instead
-            assert canon == idx
+        # ascending discovery order makes the first unvisited object the
+        # orbit minimum
+        if pos[0] != idx:
+            raise RuntimeError(f"subspace {idx} is not the minimum of its orbit")
         contains, commut = _subspace_orbit_flags(s, t, rows[pos])
-        out.append((canon, len(keys), contains, commut))
+        out.append((idx, len(keys), contains, commut))
     return out
 
 
@@ -266,17 +262,13 @@ def _bfs_subspaces(F, s, t, use_frobenius, rows, codes):
         imgs = linalg.linmap_apply(F, Vt, P)
         R = _canon_rows(F, imgs, t)
         keys = linalg.encode_rows(R.reshape(N, t * m), q)
-        tgt = np.searchsorted(codes, keys)
-        assert (codes[tgt] == keys).all()
         srcs.append(np.arange(N))
-        dsts.append(tgt)
+        dsts.append(_ground_index(codes, keys))
     if use_frobenius and F.r > 1:
         # RREF structure survives the entrywise Frobenius, so no re-reduction
         keys = linalg.encode_rows(F._frob_raw(rows, 1), q)
-        tgt = np.searchsorted(codes, keys)
-        assert (codes[tgt] == keys).all()
         srcs.append(np.arange(N))
-        dsts.append(tgt)
+        dsts.append(_ground_index(codes, keys))
     src = np.concatenate(srcs)
     dst = np.concatenate(dsts)
     graph = coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(N, N))
@@ -286,11 +278,7 @@ def _bfs_subspaces(F, s, t, use_frobenius, rows, codes):
     np.minimum.at(firsts, labels, np.arange(N))
 
     arr = rows.reshape(N, t, s, s)
-    dead_any = np.zeros(N, dtype=bool)
-    for i in range(s):
-        dead_i = (arr[:, :, i, :] == 0).all(axis=(1, 2)) & \
-                 (arr[:, :, :, i] == 0).all(axis=(1, 2))
-        dead_any |= dead_i
+    dead_any = dead_indices(arr).any(axis=1)
     orbit_ok = np.zeros(ncomp, dtype=bool)
     np.logical_or.at(orbit_ok, labels, ~dead_any)
 
@@ -303,18 +291,9 @@ def _bfs_subspaces(F, s, t, use_frobenius, rows, codes):
     return out
 
 
-def _sweep_partition_worker(field_dict, s, t, use_frobenius, lo, hi):
-    from .gf import GF
-
-    F = GF.from_dict(field_dict)
-    rows = subspace_rows(F, s, t)
-    codes = linalg.encode_rows(rows, F.q)
-    return _sweep_subspaces(F, s, t, use_frobenius, rows, codes, (lo, hi))
-
-
 def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
                        filter_compatible: bool = False, strategy: str = "auto",
-                       budget=None, workers: int = 1) -> ClassReport:
+                       budget=None) -> ClassReport:
     """Partition the t-dimensional spaces of s x s matrices over F into
     equivalence classes under congruence twists (and, if use_frobenius,
     field automorphisms applied entrywise)."""
@@ -347,10 +326,7 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
     codes = linalg.encode_rows(rows, q)
 
     if strategy == "sweep":
-        if workers > 1:
-            entries = _partitioned_sweep(F, s, t, use_frobenius, len(rows), workers)
-        else:
-            entries = _sweep_subspaces(F, s, t, use_frobenius, rows, codes)
+        entries = _sweep_subspaces(F, s, t, use_frobenius, rows, codes)
     else:
         bfs_actions = len(rows) * (len(gl.gl_generators(F, s)) + 1)
         if bfs_actions > budget:
@@ -364,8 +340,9 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
         if filter_compatible and not contains:
             continue
         classes.append(OrbitClass(_make_key(s, t, rows[idx]), size, contains, commut))
-    if not filter_compatible:
-        assert sum(c.orbit_size for c in classes) == N
+    covered = sum(c.orbit_size for c in classes)
+    if not filter_compatible and covered != N:
+        raise RuntimeError(f"orbits cover {covered} of {N} subspaces")
     return ClassReport(
         kind="subspace",
         params={
@@ -373,49 +350,11 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
             "use_frobenius": use_frobenius,
             "filter_compatible": filter_compatible,
         },
-        total_objects=sum(c.orbit_size for c in classes),
+        total_objects=covered,
         class_count=len(classes),
         strategy=strategy,
         classes=classes,
     )
-
-
-def _partitioned_sweep(F, s, t, use_frobenius, N, workers):
-    """Range-partitioned sweep merged on canonical representatives.
-
-    Each worker classifies the orbits of the objects in its key range; an
-    orbit crossing several ranges is recomputed in each and deduplicated by
-    its canonical index, so the merged result is independent of workers.
-    """
-    bounds = np.linspace(0, N, workers + 1, dtype=np.int64)
-    jobs = [(int(bounds[i]), int(bounds[i + 1])) for i in range(workers)]
-    results = []
-    try:
-        import multiprocessing as mp
-        from concurrent.futures import ProcessPoolExecutor
-
-        ctx = mp.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as ex:
-            futs = [
-                ex.submit(_sweep_partition_worker, F.to_dict(), s, t,
-                          use_frobenius, lo, hi)
-                for lo, hi in jobs
-            ]
-            for f in futs:
-                results.append(f.result())
-    except (ImportError, ValueError, OSError):
-        rows = subspace_rows(F, s, t)
-        codes = linalg.encode_rows(rows, F.q)
-        results = [
-            _sweep_subspaces(F, s, t, use_frobenius, rows, codes, (lo, hi))
-            for lo, hi in jobs
-        ]
-    merged = {}
-    for part in results:
-        for entry in part:
-            prev = merged.setdefault(entry[0], entry)
-            assert prev == entry
-    return [merged[k] for k in sorted(merged)]
 
 
 # -- single-orbit closure --

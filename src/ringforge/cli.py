@@ -63,7 +63,6 @@ def _cmd_classify(args) -> int:
         filter_compatible=args.filter_compatible,
         strategy=args.strategy,
         budget=args.budget,
-        workers=args.workers,
     )
     _emit(args, report.to_dict(), report.to_csv_rows())
     return 0
@@ -72,7 +71,7 @@ def _cmd_classify(args) -> int:
 def _cmd_congruence(args) -> int:
     F = _field(args)
     report = classify_congruence(F, args.s, symmetric_only=args.symmetric_only,
-                                 budget=args.budget, workers=args.workers)
+                                 budget=args.budget)
     _emit(args, report.to_dict(), report.to_csv_rows())
     return 0
 
@@ -313,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter-compatible", action="store_true",
                    help="drop classes with no compatible member")
     p.add_argument("--strategy", choices=("auto", "sweep", "bfs"), default="auto")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--budget", type=int, default=None,
                    help="action budget (default RINGFORGE_BUDGET or 10^12)")
     add_format(p)
@@ -323,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_field(p)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--symmetric-only", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--budget", type=int, default=None)
     add_format(p)
     p.set_defaults(func=_cmd_congruence)

@@ -147,7 +147,8 @@ class GF:
                 if n == q - 1:
                     gen = g
                     break
-            assert gen is not None
+            if gen is None:
+                raise RuntimeError(f"no multiplicative generator found in GF({q})")
             self._gen = gen
             exp = np.zeros(2 * (q - 1), dtype=np.int64)
             log = np.full(q, -1, dtype=np.int64)
@@ -335,6 +336,12 @@ class GF:
         if self.r == 1:
             return (-a) % self.p
         return self._neg[a]
+
+    def _sub_mul_raw(self, a, f, b):
+        """a - f*b; one reduction mod p for prime fields."""
+        if self.r == 1:
+            return (a - f * b) % self.p
+        return self._add_raw(a, self._neg[self._mul_raw(f, b)])
 
     def multiplicative_generator(self) -> int:
         """Least code generating the unit group."""

@@ -171,18 +171,9 @@ def linmap_apply(F, V, P) -> np.ndarray:
 
 def rref_batch(F, M):
     """Reduced row echelon form of a stack (N, t, m); returns (R, ranks)."""
-    M = np.array(M, dtype=np.int64)
-    N, t, m = M.shape
-    if F.r != 1:
-        ranks = np.zeros(N, dtype=np.int64)
-        for i in range(N):
-            M[i], piv = rref(F, M[i])
-            ranks[i] = len(piv)
-        return M, ranks
-    p = F.p
-    R = M % p
+    R = np.array(M, dtype=np.int64)
+    N, t, m = R.shape
     cur = np.zeros(N, dtype=np.int64)
-    invs = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
     rows = np.arange(t)
     for j in range(m):
         av = (R[:, :, j] != 0) & (rows[None, :] >= cur[:, None])
@@ -195,10 +186,10 @@ def rref_batch(F, M):
         R[sel, pr] = R[sel, r0]
         R[sel, r0] = tmp
         pv = R[sel, r0, j]
-        R[sel, r0] = (R[sel, r0] * invs[pv][:, None]) % p
+        R[sel, r0] = F._mul_raw(R[sel, r0], F._inv[pv][:, None])
         fac = R[sel, :, j].copy()
         fac[np.arange(sel.size), r0] = 0
-        R[sel] = (R[sel] - fac[:, :, None] * R[sel, r0][:, None, :]) % p
+        R[sel] = F._sub_mul_raw(R[sel], fac[:, :, None], R[sel, r0][:, None, :])
         cur[sel] += 1
     return R, cur
 

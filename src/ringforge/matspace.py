@@ -14,7 +14,7 @@ from .counting import gaussian_binomial
 
 __all__ = [
     "SubspaceKey", "CompatReport", "congruence_twist", "subspace_key",
-    "subspace_rows", "enumerate_subspaces", "tuple_compatible",
+    "subspace_rows", "enumerate_subspaces", "dead_indices", "tuple_compatible",
     "symmetric_reps", "bilinear_class_reps",
 ]
 
@@ -122,7 +122,9 @@ def subspace_rows(F, s: int, t: int) -> np.ndarray:
     arr = np.array(rows, dtype=np.int64)
     keys = linalg.encode_rows(arr, q)
     order = np.argsort(keys, kind="stable")
-    assert len(arr) == gaussian_binomial(m, t, q)
+    if len(arr) != gaussian_binomial(m, t, q):
+        raise RuntimeError(f"enumerated {len(arr)} subspaces, expected "
+                           f"{gaussian_binomial(m, t, q)}")
     return arr[order]
 
 
@@ -134,6 +136,13 @@ def enumerate_subspaces(F, s: int, t: int):
         yield SubspaceKey(s=s, rank=t, rows=rows)
 
 
+def dead_indices(tuples) -> np.ndarray:
+    """Dead-index mask (N, s) of a stack of tuples (N, t, s, s): entry i is
+    True when row i and column i vanish in every member of the tuple."""
+    zero = np.asarray(tuples) == 0
+    return zero.all(axis=(1, 3)) & zero.all(axis=(1, 2))
+
+
 def tuple_compatible(F, mats) -> CompatReport:
     """Independence plus the dead-index scan (1-based indices i whose row i
     and column i vanish in every member)."""
@@ -141,11 +150,7 @@ def tuple_compatible(F, mats) -> CompatReport:
     F._check_array(mats)
     t, s = mats.shape[0], mats.shape[1]
     independent = linalg.rank(F, mats.reshape(t, s * s)) == t
-    dead = tuple(
-        i + 1
-        for i in range(s)
-        if (mats[:, i, :] == 0).all() and (mats[:, :, i] == 0).all()
-    )
+    dead = tuple(int(i) + 1 for i in np.flatnonzero(dead_indices(mats[None])[0]))
     return CompatReport(independent, dead, independent and not dead)
 
 
@@ -202,7 +207,7 @@ def _reps_2(F) -> list:
             A([[1, 0], [1, 0]]),
         ]
         reps += [A([[1, 0], [a, 1]]) for a in F.units()]
-        assert len(reps) == q + 4
+        _check_rep_count(reps, q + 4)
         return reps
     g = F.least_nonsquare()
     m1 = F.neg(1)
@@ -219,7 +224,7 @@ def _reps_2(F) -> list:
     cosets = F.sign_coset_reps()
     reps += [A([[1, 0], [c, 1]]) for c in cosets]
     reps += [A([[1, 0], [c, g]]) for c in cosets]
-    assert len(reps) == q + 7
+    _check_rep_count(reps, q + 7)
     return reps
 
 
@@ -252,7 +257,7 @@ def _reps_3(F) -> list:
         reps.append(A([[1, 0, 0], [0, 0, 1], [1, 1, 0]]))
         alpha = _least_irreducible_alpha(F)
         reps.append(A([[1, 0, 0], [0, 0, 1], [alpha, 1, 1]]))
-        assert len(reps) == 2 * q + 8
+        _check_rep_count(reps, 2 * q + 8)
         return reps
     g = F.least_nonsquare()
     m1 = F.neg(1)
@@ -282,8 +287,13 @@ def _reps_3(F) -> list:
             reps.append(with_corner(mu, [[0, 0, 0], [0, 1, 0], [0, c, g]]))
     for mu in mus:
         reps.append(with_corner(mu, [[0, 0, 0], [0, 0, 1], [1, 1, 0]]))
-    assert len(reps) == 3 * q + 16
+    _check_rep_count(reps, 3 * q + 16)
     return reps
+
+
+def _check_rep_count(reps, expected):
+    if len(reps) != expected:
+        raise RuntimeError(f"built {len(reps)} representatives, expected {expected}")
 
 
 def _least_irreducible_alpha(F) -> int:

@@ -402,7 +402,8 @@ def ring_structure(ring: Ring) -> StructureReport:
             w = ring.mul(b1, b2)[1 + s:]
             prods.append(_to_zp_digits(F, w))
     rank_zp = linalg.rank(Fp, np.array(prods, dtype=np.int64))
-    assert rank_zp % F.r == 0
+    if rank_zp % F.r:
+        raise RuntimeError(f"Z_{F.p}-rank {rank_zp} of M^2 is not a multiple of r={F.r}")
     dim_m2 = rank_zp // F.r
     # ann(M): all of the W block, plus the U vectors killed on both sides
     kill = 0
@@ -417,7 +418,8 @@ def ring_structure(ring: Ring) -> StructureReport:
     dim_u_ann = 0
     while F.q ** (dim_u_ann + 1) <= kill:
         dim_u_ann += 1
-    assert F.q ** dim_u_ann == kill, "annihilator solutions are not a subspace"
+    if F.q ** dim_u_ann != kill:
+        raise RuntimeError(f"{kill} annihilator solutions do not form a subspace")
     # commutativity: table check when small, complete basis-pair check else
     if ring.order <= _TABLE_LIMIT:
         T = ring.mul_table()
@@ -540,18 +542,8 @@ def _check_same_invariants(specA: RingSpec, specD: RingSpec):
         )
 
 
-def _row_twisted(F, Cs, sigma):
-    """Row mu of each C twisted by sigma_mu (the experimental reading)."""
-    out = Cs.copy()
-    for mu, e in enumerate(sigma):
-        if e:
-            out[:, mu, :] = F._frob_raw(out[:, mu, :], e)
-    return out
-
-
 def iso_test(specA: RingSpec, specD: RingSpec, mode: str = "central",
-             certify: bool = True,
-             experimental_row_twist: bool = False) -> IsoWitness | None:
+             certify: bool = True) -> IsoWitness | None:
     """Search for an isomorphism witness; None means no certified witness.
 
     Modes:
@@ -564,8 +556,6 @@ def iso_test(specA: RingSpec, specD: RingSpec, mode: str = "central",
     _check_same_invariants(specA, specD)
     F = ringA.field
     s, t = ringA.s, ringA.t
-    if experimental_row_twist and mode != "global_twist":
-        raise ValueError("experimental_row_twist applies to mode 'global_twist' only")
 
     if mode == "s1t1":
         if s != 1 or t != 1:
@@ -609,11 +599,7 @@ def iso_test(specA: RingSpec, specD: RingSpec, mode: str = "central",
     target_R, _ = linalg.rref(F, D_rows)
     target_key = int(linalg.encode_rows(target_R.reshape(-1), F.q))
     Gmats = gl.enumerate_gl(F, s)
-    if experimental_row_twist:
-        right = _row_twisted(F, Gmats, ringA.sigma)
-        P = _kron_pairs(F, Gmats, right)
-    else:
-        P = linalg.kron_batch(F, Gmats)
+    P = linalg.kron_batch(F, Gmats)
     for e in F.automorphism_exponents():
         Ve = F._frob_raw(VA, e)
         imgs = linalg.linmap_apply(F, Ve, P)            # (G, t, m)
@@ -636,14 +622,6 @@ def iso_test(specA: RingSpec, specD: RingSpec, mode: str = "central",
                 if not certify or verify_witness(specA, specD, witness):
                     return witness
     return None
-
-
-def _kron_pairs(F, left, right):
-    L = np.asarray(left, dtype=np.int64)
-    Rt = np.asarray(right, dtype=np.int64)
-    G, s, _ = L.shape
-    out = F._mul_raw(L[:, :, None, :, None], Rt[:, None, :, None, :])
-    return out.reshape(G, s * s, s * s)
 
 
 def equivalent_spec(spec: RingSpec, C, sigma_e: int = 0, B=None,

@@ -17,7 +17,7 @@ from ringforge import (
     subspace_key,
 )
 from ringforge import linalg as la
-from ringforge.classify import DEFAULT_BUDGET
+from ringforge.classify import DEFAULT_BUDGET, _canon_rows
 from ringforge.gl import enumerate_gl, gl_order
 
 from oracles import raw_congruence_partition, raw_line_class_count
@@ -157,7 +157,7 @@ def test_commutative_capable_means_symmetric_basis(classified):
         assert c.commutative_capable == all_sym
 
 
-# -- strategies, workers, budgets ------------------------------------------
+# -- strategies, budgets --------------------------------------------------
 
 @pytest.mark.parametrize("p,s,t", [(3, 2, 1), (2, 2, 2), (3, 2, 2), (2, 2, 3),
                                    (3, 3, 1)])
@@ -170,28 +170,20 @@ def test_sweep_and_bfs_agree(p, s, t):
     assert json.dumps(a_d, sort_keys=True) == json.dumps(b_d, sort_keys=True)
 
 
-def test_workers_do_not_change_results():
-    F = GF(3)
-    one = classify_subspaces(F, 2, 2, workers=1)
-    two = classify_subspaces(F, 2, 2, workers=2)
-    assert json.dumps(one.to_dict(), sort_keys=True) == \
-        json.dumps(two.to_dict(), sort_keys=True)
-
-
-def test_congruence_workers():
-    F = GF(3)
-    one = classify_congruence(F, 2, workers=1)
-    two = classify_congruence(F, 2, workers=2)
-    assert json.dumps(one.to_dict(), sort_keys=True) == \
-        json.dumps(two.to_dict(), sort_keys=True)
-
-
 def test_auto_strategy_matches_explicit():
     F = GF(2)
     auto = classify_subspaces(F, 2, 2, strategy="auto")
     sweep = classify_subspaces(F, 2, 2, strategy="sweep")
     assert auto.class_count == sweep.class_count
     assert [c.rep.flat for c in auto.classes] == [c.rep.flat for c in sweep.classes]
+
+
+def test_canon_rows_rejects_rank_loss():
+    F = GF(3)
+    stack = np.array([[[1, 0, 0, 0], [0, 1, 0, 0]],
+                      [[1, 2, 0, 1], [2, 1, 0, 2]]], dtype=np.int64)
+    with pytest.raises(RuntimeError, match="lost rank"):
+        _canon_rows(F, stack, 2)
 
 
 def test_unknown_strategy():

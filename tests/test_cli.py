@@ -42,14 +42,6 @@ def test_classify_csv(capsys):
     assert len(lines) == 6  # header + five classes
 
 
-def test_classify_workers_stable(capsys):
-    _, one, _ = run_cli(capsys, "classify", "--p", "3", "--s", "2", "--t", "2",
-                        "--workers", "1")
-    _, two, _ = run_cli(capsys, "classify", "--p", "3", "--s", "2", "--t", "2",
-                        "--workers", "2")
-    assert one == two
-
-
 def test_classify_no_frobenius(capsys):
     _, with_f, _ = run_cli(capsys, "classify", "--p", "2", "--r", "2",
                            "--s", "2", "--t", "1")

@@ -42,15 +42,22 @@ def test_rref_properties(q, r):
         assert np.array_equal(R, R2) and list(piv2) == list(pivots)
 
 
-@pytest.mark.parametrize("q,r", [(3, 1), (2, 2)])
+# GF(2^16) takes the log/exp multiplication path of fields above the table limit
+@pytest.mark.parametrize("q,r", [(3, 1), (2, 2), (3, 2), (2, 4), (2, 16)])
 def test_rref_batch_matches_scalar(q, r):
     F = GF(q, r)
-    stack = np.random.default_rng(5).integers(0, F.q, size=(60, 2, 4), dtype=np.int64)
-    R, ranks = la.rref_batch(F, stack)
-    for i in range(len(stack)):
-        Ri, piv = la.rref(F, stack[i])
-        assert np.array_equal(R[i], Ri)
-        assert ranks[i] == len(piv)
+    rng = np.random.default_rng(5)
+    narrow = rng.integers(0, F.q, size=(60, 2, 4), dtype=np.int64)
+    wide = rng.integers(0, F.q, size=(60, 3, 9), dtype=np.int64)
+    wide[::3, 1] = 0                    # a zero row
+    wide[1::3, 2] = wide[1::3, 0]       # a repeated row
+    for stack in (narrow, wide):
+        R, ranks = la.rref_batch(F, stack)
+        for i in range(len(stack)):
+            Ri, piv = la.rref(F, stack[i])
+            assert np.array_equal(R[i], Ri)
+            assert ranks[i] == len(piv)
+    assert (ranks[::3] < 3).all() and (ranks[1::3] < 3).all()
 
 
 # -- inverse, det, solve ---------------------------------------------------
