@@ -46,6 +46,20 @@ def resolve_budget(budget=None) -> int:
     return int(env) if env else DEFAULT_BUDGET
 
 
+def _over_budget(what, budget) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"{what}, over the action budget of {budget} "
+        f"(change it with budget=, --budget or {ENV_BUDGET})"
+    )
+
+
+def _over_ground_limit(n, what) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"ground set of {n} {what} exceeds the dense ground-set limit of "
+        f"{_GROUND_LIMIT} (change it with ringforge.classify._GROUND_LIMIT)"
+    )
+
+
 @dataclass
 class OrbitClass:
     rep: object        # SubspaceKey for subspace runs, (s, s) array for congruence
@@ -132,15 +146,11 @@ def classify_congruence(F, s: int, symmetric_only: bool = False,
     q, m = F.q, s * s
     total = q ** m
     if total > _GROUND_LIMIT:
-        raise BudgetExceededError(
-            f"ground set of {total} matrices is too large for dense classification"
-        )
+        raise _over_ground_limit(total, "matrices")
     budget = resolve_budget(budget)
     group_order = gl.gl_order(q, s)
     if group_order * total > budget:
-        raise BudgetExceededError(
-            f"{group_order * total} actions exceed the budget of {budget}"
-        )
+        raise _over_budget(f"congruence sweep needs {group_order * total} actions", budget)
     Gmats = gl.enumerate_gl(F, s)
     P = linalg.kron_batch(F, Gmats)
 
@@ -257,8 +267,7 @@ def _bfs_subspaces(F, s, t, use_frobenius, rows, codes):
     gens = gl.gl_generators(F, s)
     Vt = rows.reshape(N, t, m)
     srcs, dsts = [], []
-    for g in gens:
-        P = linalg.kron(F, g, g)
+    for P in linalg.kron_batch(F, gens):
         imgs = linalg.linmap_apply(F, Vt, P)
         R = _canon_rows(F, imgs, t)
         keys = linalg.encode_rows(R.reshape(N, t * m), q)
@@ -314,13 +323,9 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
     if strategy not in ("sweep", "bfs"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if N > _GROUND_LIMIT:
-        raise BudgetExceededError(
-            f"ground set of {N} subspaces is too large for dense classification"
-        )
+        raise _over_ground_limit(N, "subspaces")
     if strategy == "sweep" and sweep_actions > budget:
-        raise BudgetExceededError(
-            f"{sweep_actions} actions exceed the budget of {budget}"
-        )
+        raise _over_budget(f"subspace sweep needs {sweep_actions} actions", budget)
 
     rows = subspace_rows(F, s, t)
     codes = linalg.encode_rows(rows, q)
@@ -330,9 +335,7 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
     else:
         bfs_actions = len(rows) * (len(gl.gl_generators(F, s)) + 1)
         if bfs_actions > budget:
-            raise BudgetExceededError(
-                f"{bfs_actions} actions exceed the budget of {budget}"
-            )
+            raise _over_budget(f"subspace BFS needs {bfs_actions} actions", budget)
         entries = _bfs_subspaces(F, s, t, use_frobenius, rows, codes)
 
     classes = []
@@ -381,7 +384,7 @@ def orbit_of(F, obj, use_frobenius: bool = True, budget=None,
     m = s * s
     q = F.q
     gens = gl.gl_generators(F, s)
-    Ps = np.stack([linalg.kron(F, g, g) for g in gens])
+    Ps = linalg.kron_batch(F, gens)
 
     def canon(batch):
         # batch (B, t*m) -> canonical rows
@@ -406,9 +409,7 @@ def orbit_of(F, obj, use_frobenius: bool = True, budget=None,
         keys = linalg.encode_rows(imgs, q)
         n_actions += len(keys)
         if n_actions > budget:
-            raise BudgetExceededError(
-                f"orbit closure exceeded the budget of {budget}"
-            )
+            raise _over_budget(f"orbit closure reached {n_actions} actions", budget)
         fresh_rows = []
         for row, k in zip(imgs, keys):
             k = int(k)

@@ -90,6 +90,29 @@ def _default_modulus(p, r):
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def _prime_factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _least_generator(q, power):
+    """Least code g with g^((q-1)/l) != 1 for every prime l | q-1, which is
+    the least generator of the unit group; power(g, e) computes g^e."""
+    exps = [(q - 1) // l for l in _prime_factors(q - 1)]
+    for g in range(1, q):
+        if all(power(g, e) != 1 for e in exps):
+            return g
+    raise RuntimeError(f"no multiplicative generator found in GF({q})")
+
+
 class GF:
     """The field GF(p^r) with elements coded as integers in [0, p^r)."""
 
@@ -125,9 +148,41 @@ class GF:
         prod = _poly_mod(_poly_mul(pa, pb, p), list(self.modulus), p)
         return sum(c * p ** i for i, c in enumerate(prod))
 
+    def _code_pow(self, a, e):
+        out = 1
+        while e:
+            if e & 1:
+                out = self._code_mul(out, a)
+            a = self._code_mul(a, a)
+            e >>= 1
+        return out
+
+    def _mul_matrices(self, c, dtype=np.int64):
+        """Multiplication by each code in c as an r x r matrix over Z_p.
+
+        Row i of M(c) holds the digits of c*x^i, so digits(y) @ M(c) is
+        digits(y*c) mod p and M(ab) = M(a) @ M(b).  Shape c.shape + (r, r).
+        """
+        p, r = self.p, self.r
+        c = np.asarray(c, dtype=np.int64)
+        out = np.empty(c.shape + (r, r), dtype=dtype)
+        row = self._digits[c]
+        for i in range(r):
+            if i:
+                # times x: shift the digits up, reduce x^r by the modulus
+                top = row[..., -1:]
+                row = np.concatenate([np.zeros_like(top), row[..., :-1]], axis=-1)
+                row = (row - top * self._x_r) % p
+            out[..., i, :] = row
+        return out
+
     def _build_tables(self):
         p, r, q = self.p, self.r, self.q
+        self._pows = p ** np.arange(r, dtype=np.int64)
+        self._digits = (np.arange(q)[:, None] // self._pows) % p
+        self._x_r = np.array(self.modulus[:r], dtype=np.int64)
         if r == 1:
+            self._gen = _least_generator(q, lambda g, e: pow(g, e, p))
             self._exp = self._log = None
             inv = [0] * q
             for a in range(1, q):
@@ -135,39 +190,27 @@ class GF:
             self._inv = np.array(inv, dtype=np.int64)
             self._neg = (-np.arange(q)) % p
             self._frob = None
-            self._gen = None
         else:
-            # find a multiplicative generator, then log/exp tables
-            gen = None
-            for g in range(1, q):
-                x, n = g, 1
-                while x != 1:
-                    x = self._code_mul(x, g)
-                    n += 1
-                if n == q - 1:
-                    gen = g
-                    break
-            if gen is None:
-                raise RuntimeError(f"no multiplicative generator found in GF({q})")
+            gen = _least_generator(q, self._code_pow)
             self._gen = gen
+            # exp[n:n+k] = exp[:k] * g^n, doubling n; M is M(g^n)
             exp = np.zeros(2 * (q - 1), dtype=np.int64)
-            log = np.full(q, -1, dtype=np.int64)
-            x = 1
-            for i in range(q - 1):
-                exp[i] = x
-                log[x] = i
-                x = self._code_mul(x, gen)
+            exp[0] = 1
+            M = self._mul_matrices(gen)
+            n = 1
+            while n < q - 1:
+                k = min(n, q - 1 - n)
+                exp[n:n + k] = (self._digits[exp[:k]] @ M % p) @ self._pows
+                M = M @ M % p
+                n += k
             exp[q - 1:] = exp[: q - 1]
+            log = np.full(q, -1, dtype=np.int64)
+            log[exp[: q - 1]] = np.arange(q - 1)
             self._exp, self._log = exp, log
             inv = np.zeros(q, dtype=np.int64)
             inv[1:] = exp[(q - 1 - log[1:]) % (q - 1)]
             self._inv = inv
-            digits = np.stack(
-                [(np.arange(q) // p ** i) % p for i in range(r)], axis=1
-            )
-            self._digits = digits
-            self._pows = p ** np.arange(r, dtype=np.int64)
-            self._neg = ((-digits) % p) @ self._pows
+            self._neg = ((-self._digits) % p) @ self._pows
             frob = np.zeros((r, q), dtype=np.int64)
             frob[0] = np.arange(q)
             for e in range(1, r):
@@ -178,7 +221,6 @@ class GF:
                 frob[e] = nxt
             self._frob = frob
         if r > 1 and q <= _TABLE_LIMIT:
-            codes = np.arange(q)
             add = (self._digits[:, None, :] + self._digits[None, :, :]) % p
             self._add_t = add @ self._pows
             with np.errstate(all="ignore"):
@@ -345,15 +387,6 @@ class GF:
 
     def multiplicative_generator(self) -> int:
         """Least code generating the unit group."""
-        if self._gen is None:
-            for a in self.units():
-                x, order = a, 1
-                while x != 1:
-                    x = self.mul(x, a)
-                    order += 1
-                if order == self.q - 1:
-                    self._gen = a
-                    break
         return self._gen
 
     # -- structure queries --

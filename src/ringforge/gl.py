@@ -43,7 +43,8 @@ def enumerate_gl(F, s: int) -> np.ndarray:
     total = F.q ** (s * s)
     if total > ENUM_LIMIT:
         raise ValueError(
-            f"GL({s}, {F.q}) ground set of {total} matrices is too large to enumerate"
+            f"GL({s}, {F.q}) ground set of {total} matrices exceeds the enumeration "
+            f"limit of {ENUM_LIMIT} (change it with ringforge.gl.ENUM_LIMIT)"
         )
     mats = linalg.decode_codes(np.arange(total), F.q, s * s).reshape(total, s, s)
     return mats[det_batch(F, mats) != 0]

@@ -3,6 +3,18 @@
 Matrices and vectors are numpy int64 arrays of element codes.  Scalar
 helpers run plain python loops (everything here is tiny); the batched
 helpers carry the orbit engine and are vectorized over the leading axes.
+
+GF(q)-linear maps that act on many vectors (the group tensor of the
+orbit engines) are held lowered to Z_p, q = p^r: ``lower`` replaces each
+entry c of an (m, m2) matrix by the r x r matrix of multiplication by c,
+whose row i holds the digits of c*x^i, giving an (m*r, m2*r) matrix over
+Z_p.  ``kron`` and ``kron_batch`` return kron(C, C) in this form and
+``linmap_apply`` applies it to the digit vectors of GF codes as one
+integer matmul mod p, the same code for every field.  A lowered map is
+stored in the smallest unsigned dtype that holds m*r*(p-1)^2, because
+numpy integer matmul accumulates in its output dtype: uint8 for GF(4)
+and GF(5) at s = 3 (m = 9), uint16 for GF(7) at s = 3 and for GF(11)
+and GF(13) at s = 2.
 """
 
 from __future__ import annotations
@@ -11,9 +23,12 @@ import numpy as np
 
 __all__ = [
     "mat", "identity", "mat_mul", "mat_vec", "transpose", "rref", "rank",
-    "det", "inv_mat", "solve", "kron", "kron_batch", "linmap_apply",
-    "rref_batch", "encode_rows", "decode_codes",
+    "det", "inv_mat", "solve", "lower", "kron", "kron_batch",
+    "linmap_apply", "rref_batch", "encode_rows", "decode_codes",
 ]
+
+# group elements lowered per step of kron_batch
+_KRON_CHUNK = 8192
 
 
 def mat(F, rows) -> np.ndarray:
@@ -135,38 +150,91 @@ def solve(F, A, b):
     return x
 
 
+def _lowered_dtype(F, m: int):
+    """Smallest unsigned dtype holding a length m*r dot product of digits.
+
+    numpy integer matmul accumulates in its output dtype, so the bound is
+    the whole sum m*r*(p-1)^2, not just one entry.
+    """
+    bound = m * F.r * (F.p - 1) ** 2
+    for dt in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if bound <= np.iinfo(dt).max:
+            return np.dtype(dt)
+    raise ValueError(f"a length {m * F.r} dot product over Z_{F.p} overflows uint64")
+
+
+def _mul_table(F, m: int) -> np.ndarray:
+    # M(c) for every code c, (q, r, r), in the dtype of an m-row lowered map
+    return F._mul_matrices(np.arange(F.q), _lowered_dtype(F, m))
+
+
+def lower(F, P) -> np.ndarray:
+    """A GF(q) matrix stack (..., m, m2) as Z_p matrices (..., m*r, m2*r).
+
+    Block (k, j) is the multiplication-by-P[k, j] matrix, whose row i holds
+    the digits of P[k, j]*x^i; the dtype is ``_lowered_dtype(F, m)``.
+    """
+    P = np.asarray(P, dtype=np.int64)
+    *lead, m, m2 = P.shape
+    r = F.r
+    # row i of block (k, j) is row P[k, j]*r + i of the stacked M(c) rows,
+    # so one gather writes the output in its final order
+    rows = _mul_table(F, m).reshape(F.q * r, r)
+    idx = P[..., :, None, :] * r + np.arange(r)[:, None]     # (..., m, r, m2)
+    return np.take(rows, idx, axis=0).reshape(*lead, m * r, m2 * r)
+
+
 def kron(F, A, B) -> np.ndarray:
+    """kron(A, B) over F, lowered to Z_p."""
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     (a1, a2), (b1, b2) = A.shape, B.shape
     out = F._mul_raw(A[:, None, :, None], B[None, :, None, :])
-    return out.reshape(a1 * b1, a2 * b2)
+    return lower(F, out.reshape(a1 * b1, a2 * b2))
 
 
 def kron_batch(F, C) -> np.ndarray:
-    """Per-item kron(C_g, C_g) for a stack of square matrices (G, s, s).
+    """Per-item kron(C_g, C_g), lowered to Z_p, for a stack (G, s, s).
 
     Row-major flattening makes vec(C^T A C) = vec(A) @ kron(C, C), which is
-    the whole reason this exists.
+    the whole reason this exists.  The output (G, s*s*r, s*s*r) is written
+    in ``_lowered_dtype`` chunk by chunk, so no GF-coded (G, s*s, s*s)
+    stack is ever held whole.
     """
     C = np.asarray(C, dtype=np.int64)
     G, s, _ = C.shape
-    out = F._mul_raw(C[:, :, None, :, None], C[:, None, :, None, :])
-    return out.reshape(G, s * s, s * s)
-
-
-def linmap_apply(F, V, P) -> np.ndarray:
-    """Broadcasted V @ P over F: (..., m) x (G, m, m2) -> (G, ..., m2)."""
-    V = np.asarray(V, dtype=np.int64)
-    P = np.asarray(P, dtype=np.int64)
-    if F.r == 1:
-        return np.matmul(V, P) % F.p
-    m = V.shape[-1]
-    out = None
-    for k in range(m):
-        term = F._mul_raw(V[..., k, None], P[..., k, :][..., None, :])
-        out = term if out is None else F._add_raw(out, term)
+    m = s * s
+    out = np.empty((G, m * F.r, m * F.r), dtype=_lowered_dtype(F, m))
+    for lo in range(0, G, _KRON_CHUNK):
+        part = C[lo:lo + _KRON_CHUNK]
+        K = F._mul_raw(part[:, :, None, :, None], part[:, None, :, None, :])
+        out[lo:lo + len(part)] = lower(F, K.reshape(len(part), m, m))
     return out
+
+
+def linmap_apply(F, V, L) -> np.ndarray:
+    """Broadcasted V @ P over F with P lowered (L = lower(F, P)):
+    (..., m) codes x (G, m*r, m2*r) -> (G, ..., m2) codes.
+
+    One integer matmul mod p on the digits of V, in L's dtype.
+    """
+    V = np.asarray(V, dtype=np.int64)
+    p, r = F.p, F.r
+    m = V.shape[-1]
+    if L.shape[-2] != m * r:
+        raise ValueError(f"lowered map has {L.shape[-2]} rows, expected {m * r}")
+    D = np.empty(V.shape + (r,), dtype=L.dtype)
+    for i in range(r - 1):
+        V, D[..., i] = np.divmod(V, p)
+    D[..., r - 1] = V               # codes are < p^r: the rest is the top digit
+    out = np.matmul(D.reshape(D.shape[:-2] + (m * r,)), L)
+    out %= p
+    # digit i of output entry j sits in column j*r + i
+    codes = out[..., r - 1::r].astype(np.int64)
+    for i in range(r - 2, -1, -1):
+        codes *= p
+        codes += out[..., i::r]
+    return codes
 
 
 def rref_batch(F, M):

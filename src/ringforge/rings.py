@@ -384,11 +384,6 @@ def _radical_basis(ring: Ring):
             out.append(tuple(e))
     return out
 
-def _to_zp_digits(F, codes):
-    return np.concatenate([
-        np.array([(c // F.p ** i) % F.p for i in range(F.r)]) for c in codes
-    ])
-
 
 def ring_structure(ring: Ring) -> StructureReport:
     F = ring.field
@@ -400,7 +395,7 @@ def ring_structure(ring: Ring) -> StructureReport:
     for b1 in basis:
         for b2 in basis:
             w = ring.mul(b1, b2)[1 + s:]
-            prods.append(_to_zp_digits(F, w))
+            prods.append(F._digits[list(w)].ravel())
     rank_zp = linalg.rank(Fp, np.array(prods, dtype=np.int64))
     if rank_zp % F.r:
         raise RuntimeError(f"Z_{F.p}-rank {rank_zp} of M^2 is not a multiple of r={F.r}")

@@ -111,3 +111,68 @@ def zp_poly_mul_table(p: int):
 
 def binomial_formula_s1(r: int, lam: int) -> int:
     return r * comb(r + lam - 1, lam)
+
+
+def gf_table_matmul(F, V, P) -> np.ndarray:
+    """V @ P over F, entry by entry through the field's scalar add/mul
+    tables: (n, m) x (m, m2) -> (n, m2) codes."""
+    V = np.asarray(V)
+    P = np.asarray(P)
+    out = np.zeros((V.shape[0], P.shape[1]), dtype=np.int64)
+    for i in range(V.shape[0]):
+        for j in range(P.shape[1]):
+            acc = 0
+            for k in range(V.shape[1]):
+                acc = F.add(acc, F.mul(int(V[i, k]), int(P[k, j])))
+            out[i, j] = acc
+    return out
+
+
+def gf_table_kron(F, A, B) -> np.ndarray:
+    """kron(A, B) over F through the field's scalar mul table, GF codes."""
+    (a1, a2), (b1, b2) = A.shape, B.shape
+    out = np.zeros((a1 * b1, a2 * b2), dtype=np.int64)
+    for i, j, k, l in itertools.product(range(a1), range(a2), range(b1), range(b2)):
+        out[i * b1 + k, j * b2 + l] = F.mul(int(A[i, j]), int(B[k, l]))
+    return out
+
+
+def poly_code_mul(p: int, modulus, a: int, b: int) -> int:
+    """Product of two GF(p^r) codes by schoolbook polynomial arithmetic
+    modulo the monic `modulus` (ascending coefficients)."""
+    r = len(modulus) - 1
+    da = [(a // p ** i) % p for i in range(r)]
+    db = [(b // p ** i) % p for i in range(r)]
+    prod = [0] * (2 * r)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for deg in range(2 * r - 1, r - 1, -1):
+        c = prod[deg] % p
+        prod[deg] = 0
+        for k in range(r):
+            prod[deg - r + k] -= c * modulus[k]
+    return sum((prod[i] % p) * p ** i for i in range(r))
+
+
+def naive_powers(p: int, modulus, g: int) -> list:
+    """[g^0, g^1, ..., g^(q-2)] by repeated multiplication."""
+    q = p ** (len(modulus) - 1)
+    out, x = [], 1
+    for _ in range(q - 1):
+        out.append(x)
+        x = poly_code_mul(p, modulus, x, g)
+    return out
+
+
+def least_generator(p: int, modulus) -> int:
+    """Least code whose multiplicative order is q - 1, by brute force."""
+    q = p ** (len(modulus) - 1)
+    for g in range(1, q):
+        x, order = g, 1
+        while x != 1:
+            x = poly_code_mul(p, modulus, x, g)
+            order += 1
+        if order == q - 1:
+            return g
+    raise AssertionError("no generator")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from ringforge import (
     resolve_budget,
     subspace_key,
 )
+from ringforge import classify as classify_module
+from ringforge import gl as gl_module
 from ringforge import linalg as la
 from ringforge.classify import DEFAULT_BUDGET, _canon_rows
 from ringforge.gl import enumerate_gl, gl_order
@@ -198,6 +201,41 @@ def test_budget_enforced():
         classify_congruence(GF(3), 2, budget=50)
     with pytest.raises(BudgetExceededError):
         orbit_of(GF(3), np.eye(2, dtype=np.int64), budget=2)
+
+
+BUDGET_KNOBS = re.escape("(change it with budget=, --budget or RINGFORGE_BUDGET)")
+
+
+def test_budget_errors_name_the_knobs():
+    with pytest.raises(BudgetExceededError,
+                       match="congruence sweep needs 3888 actions, over the action "
+                             "budget of 50 " + BUDGET_KNOBS):
+        classify_congruence(GF(3), 2, budget=50)
+    with pytest.raises(BudgetExceededError,
+                       match="subspace sweep needs .* budget of 50 " + BUDGET_KNOBS):
+        classify_subspaces(GF(3), 2, 2, strategy="sweep", budget=50)
+    with pytest.raises(BudgetExceededError,
+                       match="subspace BFS needs .* budget of 50 " + BUDGET_KNOBS):
+        classify_subspaces(GF(3), 2, 2, strategy="bfs", budget=50)
+    with pytest.raises(BudgetExceededError,
+                       match="orbit closure reached .* budget of 2 " + BUDGET_KNOBS):
+        orbit_of(GF(3), np.eye(2, dtype=np.int64), budget=2)
+
+
+def test_ground_limit_errors_name_the_knob(monkeypatch):
+    monkeypatch.setattr(classify_module, "_GROUND_LIMIT", 10)
+    knob = re.escape("limit of 10 (change it with ringforge.classify._GROUND_LIMIT)")
+    with pytest.raises(BudgetExceededError, match="ground set of 16 matrices .*" + knob):
+        classify_congruence(GF(2), 2)
+    with pytest.raises(BudgetExceededError, match="ground set of 15 subspaces .*" + knob):
+        classify_subspaces(GF(2), 2, 1)
+
+
+def test_enum_limit_error_names_the_knob(monkeypatch):
+    monkeypatch.setattr(gl_module, "ENUM_LIMIT", 100)
+    knob = re.escape("limit of 100 (change it with ringforge.gl.ENUM_LIMIT)")
+    with pytest.raises(ValueError, match="GL\\(3, 2\\) ground set of 512 matrices .*" + knob):
+        enumerate_gl(GF(2), 3)
 
 
 def test_budget_resolution(monkeypatch):

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from ringforge import GF
 
+from oracles import least_generator, naive_powers
+
 # q <= 81 keeps every exhaustive loop here instantaneous
 FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2), (3, 4)]
 
@@ -188,6 +190,34 @@ def test_multiplicative_generator(F):
         x = F.mul(x, g)
         seen.add(x)
     assert seen == set(F.units())
+
+
+# every GF(p^r) with r > 1 and q <= 1024
+TABLE_FIELDS = [(p, r) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+                for r in range(2, 11) if p ** r <= 1024]
+
+
+@pytest.mark.parametrize("p,r", TABLE_FIELDS, ids=lambda v: str(v))
+def test_field_tables_match_naive(p, r):
+    F = GF(p, r)
+    q = F.q
+    assert F._gen == least_generator(p, F.modulus)
+    powers = naive_powers(p, F.modulus, F._gen)
+    assert F._exp.tolist() == powers + powers
+    assert F._log[powers].tolist() == list(range(q - 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 41, 251, 257])
+def test_prime_generator_is_least(p):
+    assert GF(p).multiplicative_generator() == least_generator(p, (0, 1))
+
+
+def test_gf_2_16_generator_pinned():
+    # the least generator of GF(2^16) under the default modulus
+    F = GF(2, 16)
+    assert F._gen == 3
+    assert F.multiplicative_generator() == 3
+    assert F.mul(F._exp[12345], F._exp[65535 - 12345]) == 1
 
 
 def test_automorphism_exponents(F):

@@ -5,7 +5,7 @@ from ringforge import GF
 from ringforge import linalg as la
 from ringforge.gl import det_batch, enumerate_gl, gl_generators, gl_order
 
-from oracles import raw_gl
+from oracles import gf_table_kron, gf_table_matmul, raw_gl
 
 
 def random_matrices(F, s, count, seed):
@@ -114,12 +114,72 @@ def test_kron_mixed_product():
     assert np.array_equal(left, right)
 
 
-def test_kron_batch_matches_scalar():
+def test_kron_batch_matches_scalar(monkeypatch):
+    # one item past a chunk boundary
+    monkeypatch.setattr(la, "_KRON_CHUNK", 4)
+    for F, s in [(GF(2, 2), 2), (GF(3, 2), 2), (GF(5), 3), (GF(7), 3)]:
+        C = random_matrices(F, s, la._KRON_CHUNK + 1, seed=F.q + s)
+        K = la.kron_batch(F, C)
+        m = s * s
+        assert K.shape == (len(C), m * F.r, m * F.r)
+        for i in range(len(C)):
+            want = la.lower(F, gf_table_kron(F, C[i], C[i]))
+            assert K[i].dtype == want.dtype
+            assert np.array_equal(K[i], want)
+            assert np.array_equal(K[i], la.kron(F, C[i], C[i]))
+
+
+def test_lower_blocks_are_multiplication_matrices():
+    # block row i of c is the digits of c*x^i
+    for F in (GF(2, 2), GF(3, 2), GF(2, 4), GF(3, 3), GF(7)):
+        L = la.lower(F, np.arange(F.q).reshape(F.q, 1, 1))
+        for c in range(F.q):
+            for i in range(F.r):
+                want = F.element_digits(F.mul(c, F.p ** i))
+                assert tuple(int(x) for x in L[c, i]) == want
+
+
+# (p, r, m, dtype): m*r*(p-1)^2 on both sides of the uint8 bound 255
+DTYPE_CASES = [
+    (2, 1, 9, np.uint8), (7, 1, 7, np.uint8), (7, 1, 9, np.uint16),
+    (13, 1, 1, np.uint8), (13, 1, 4, np.uint16), (11, 1, 4, np.uint16),
+    (5, 1, 9, np.uint8), (2, 2, 9, np.uint8), (3, 2, 9, np.uint8),
+    (3, 2, 31, np.uint8), (3, 2, 32, np.uint16), (2, 4, 4, np.uint8),
+    (2, 4, 63, np.uint8), (2, 4, 64, np.uint16), (3, 3, 4, np.uint8),
+]
+
+
+@pytest.mark.parametrize("p,r,m,dtype", DTYPE_CASES,
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_linmap_apply_matches_table_oracle(p, r, m, dtype):
+    F = GF(p, r)
+    rng = np.random.default_rng(p * 100 + r * 10 + m)
+    m2 = 3
+    P = rng.integers(0, F.q, size=(4, m, m2), dtype=np.int64)
+    V = rng.integers(0, F.q, size=(5, m), dtype=np.int64)
+    # the largest dot product: every digit of V and of the blocks is p - 1
+    P[0] = p - 1
+    V[0] = F.q - 1
+    L = la.lower(F, P)
+    assert L.dtype == dtype
+    assert L.shape == (4, m * r, m2 * r)
+    out = la.linmap_apply(F, V, L)
+    assert out.shape == (4, 5, m2)
+    assert out.dtype == np.int64
+    for g in range(4):
+        assert np.array_equal(out[g], gf_table_matmul(F, V, P[g]))
+    # a batch of vector stacks against one map
+    single = la.linmap_apply(F, V.reshape(5, 1, m), L[1])
+    assert np.array_equal(single.reshape(5, m2), gf_table_matmul(F, V, P[1]))
+    zero = la.linmap_apply(F, np.zeros(m, dtype=np.int64), L)
+    assert zero.shape == (4, m2) and not zero.any()
+
+
+def test_linmap_apply_rejects_unlowered_map():
     F = GF(2, 2)
-    C = np.random.default_rng(3).integers(0, 4, size=(5, 2, 2), dtype=np.int64)
-    K = la.kron_batch(F, C)
-    for i in range(5):
-        assert np.array_equal(K[i], la.kron(F, C[i], C[i]))
+    P = np.ones((3, 3), dtype=np.int64)
+    with pytest.raises(ValueError, match="lowered map has 3 rows, expected 6"):
+        la.linmap_apply(F, np.ones(3, dtype=np.int64), P)
 
 
 def test_vec_action_is_congruence():

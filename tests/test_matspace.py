@@ -72,7 +72,7 @@ def test_key_invariant_under_recombination_gf2():
                     dtype=np.int64)
     base = subspace_key(F, mats)
     for B in raw_gl(2, 3):
-        mixed = la.linmap_apply(F, B, mats.reshape(3, 4)).reshape(3, 2, 2)
+        mixed = la.linmap_apply(F, B, la.lower(F, mats.reshape(3, 4))).reshape(3, 2, 2)
         assert subspace_key(F, mixed) == base
 
 
@@ -89,7 +89,7 @@ def test_key_invariant_under_recombination_gf3(data):
         B = rng.integers(0, 3, size=(2, 2), dtype=np.int64)
         if la.det(F, B) != 0:
             break
-    mixed = la.linmap_apply(F, B, mats.reshape(2, 4)).reshape(2, 2, 2)
+    mixed = la.linmap_apply(F, B, la.lower(F, mats.reshape(2, 4))).reshape(2, 2, 2)
     assert subspace_key(F, mixed) == subspace_key(F, mats)
 
 
