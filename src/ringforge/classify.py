@@ -316,10 +316,14 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
     budget = resolve_budget(budget)
     r_factor = F.r if use_frobenius else 1
     sweep_actions = gl.gl_order(q, s) * r_factor * N
+    # BFS computes N x (generators + 1) images; scalars fix every subspace,
+    # so an orbit has at most |G| r / (q - 1) members and the sweep
+    # computes at least N (q - 1)
+    bfs_per_object = len(gl.gl_generators(F, s)) + 1
 
     if strategy == "auto":
-        strategy = "sweep" if (sweep_actions <= SWEEP_LIMIT and q ** m <= gl.ENUM_LIMIT) \
-            else "bfs"
+        strategy = "sweep" if (sweep_actions <= SWEEP_LIMIT and q ** m <= gl.ENUM_LIMIT
+                               and q - 1 < bfs_per_object) else "bfs"
     if strategy not in ("sweep", "bfs"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if N > _GROUND_LIMIT:
@@ -333,7 +337,7 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
     if strategy == "sweep":
         entries = _sweep_subspaces(F, s, t, use_frobenius, rows, codes)
     else:
-        bfs_actions = len(rows) * (len(gl.gl_generators(F, s)) + 1)
+        bfs_actions = len(rows) * bfs_per_object
         if bfs_actions > budget:
             raise _over_budget(f"subspace BFS needs {bfs_actions} actions", budget)
         entries = _bfs_subspaces(F, s, t, use_frobenius, rows, codes)

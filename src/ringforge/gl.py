@@ -39,15 +39,34 @@ def det_batch(F, A) -> np.ndarray:
 
 
 def enumerate_gl(F, s: int) -> np.ndarray:
-    """All invertible s x s matrices, ascending by integer encoding."""
-    total = F.q ** (s * s)
+    """All invertible s x s matrices, ascending by integer encoding.
+
+    Built row by row: each prefix of k independent rows is extended by
+    every vector outside its span.  Prefixes and their extensions are both
+    visited in ascending code order, so the output needs no sort.
+    """
+    q = F.q
+    total = q ** (s * s)
     if total > ENUM_LIMIT:
         raise ValueError(
-            f"GL({s}, {F.q}) ground set of {total} matrices exceeds the enumeration "
+            f"GL({s}, {q}) ground set of {total} matrices exceeds the enumeration "
             f"limit of {ENUM_LIMIT} (change it with ringforge.gl.ENUM_LIMIT)"
         )
-    mats = linalg.decode_codes(np.arange(total), F.q, s * s).reshape(total, s, s)
-    return mats[det_batch(F, mats) != 0]
+    prefixes = np.zeros((1, 0, s), dtype=np.int64)
+    for k in range(s):
+        n = len(prefixes)
+        # span codes: every combination of the k rows, (n, q^k)
+        coeffs = linalg.decode_codes(np.arange(q ** k), q, k)
+        span = np.zeros((n, q ** k, s), dtype=np.int64)
+        for l in range(k):
+            span = F._add_raw(span, F._mul_raw(coeffs[None, :, l, None],
+                                               prefixes[:, None, l, :]))
+        in_span = np.zeros((n, q ** s), dtype=bool)
+        in_span[np.arange(n)[:, None], linalg.encode_rows(span, q)] = True
+        which, rows = np.nonzero(~in_span)
+        prefixes = np.concatenate(
+            [prefixes[which], linalg.decode_codes(rows, q, s)[:, None, :]], axis=1)
+    return prefixes
 
 
 def gl_generators(F, s: int) -> np.ndarray:

@@ -15,6 +15,11 @@ stored in the smallest unsigned dtype that holds m*r*(p-1)^2, because
 numpy integer matmul accumulates in its output dtype: uint8 for GF(4)
 and GF(5) at s = 3 (m = 9), uint16 for GF(7) at s = 3 and for GF(11)
 and GF(13) at s = 2.
+
+``rref_batch`` brings a stack of bases (N, t, m) to reduced row echelon
+form by row-pivot Gauss-Jordan through the ``GF`` raw ops, one step per
+row of the stack, the same code for every field.  Each step works on
+whole (N, m) rows, so its numpy overhead does not grow with m.
 """
 
 from __future__ import annotations
@@ -238,28 +243,38 @@ def linmap_apply(F, V, L) -> np.ndarray:
 
 
 def rref_batch(F, M):
-    """Reduced row echelon form of a stack (N, t, m); returns (R, ranks)."""
+    """Reduced row echelon form of a stack (N, t, m); returns (R, ranks).
+
+    Row-pivot Gauss-Jordan over the whole stack, one step per row: step i
+    moves the remaining row with the leftmost leading entry to position
+    i, scales it to a unit pivot and clears its column from every other
+    row.  An item whose remaining rows are all zero is left unchanged by
+    the step (its pivot row is zero), and ``ranks`` counts the steps that
+    found a pivot.  RREF is unique, so the result equals ``rref`` item by
+    item.
+    """
     R = np.array(M, dtype=np.int64)
     N, t, m = R.shape
-    cur = np.zeros(N, dtype=np.int64)
-    rows = np.arange(t)
-    for j in range(m):
-        av = (R[:, :, j] != 0) & (rows[None, :] >= cur[:, None])
-        sel = np.where(av.any(axis=1))[0]
-        if sel.size == 0:
-            continue
-        pr = np.argmax(av[sel], axis=1)
-        r0 = cur[sel]
-        tmp = R[sel, pr].copy()
-        R[sel, pr] = R[sel, r0]
-        R[sel, r0] = tmp
-        pv = R[sel, r0, j]
-        R[sel, r0] = F._mul_raw(R[sel, r0], F._inv[pv][:, None])
-        fac = R[sel, :, j].copy()
-        fac[np.arange(sel.size), r0] = 0
-        R[sel] = F._sub_mul_raw(R[sel], fac[:, :, None], R[sel, r0][:, None, :])
-        cur[sel] += 1
-    return R, cur
+    ranks = np.zeros(N, dtype=np.int64)
+    items = np.arange(N)
+    for i in range(min(t, m)):
+        nz = R[:, i:] != 0                                   # (N, t-i, m)
+        lead = np.where(nz.any(axis=2), nz.argmax(axis=2), m)
+        k = lead.argmin(axis=1)
+        col = lead[items, k]
+        live = col < m
+        col[~live] = 0              # dead items: any column of a zero row
+        k += i
+        sw = np.flatnonzero(k != i)     # a full gather would copy the stack
+        R[sw, i], R[sw, k[sw]] = R[sw, k[sw]], R[sw, i]
+        piv = F._mul_raw(R[:, i], F._inv[R[items, i, col]][:, None])
+        R[:, i] = piv
+        for j in range(t):
+            if j != i:
+                f = R[items, j, col]
+                R[:, j] = F._sub_mul_raw(R[:, j], f[:, None], piv)
+        ranks += live
+    return R, ranks
 
 
 def encode_rows(rows, q: int):

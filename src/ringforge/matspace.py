@@ -5,7 +5,7 @@ representative lists behind the classification tables."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -103,29 +103,32 @@ def subspace_rows(F, s: int, t: int) -> np.ndarray:
                 block[:, l + 1:] = linalg.decode_codes(np.arange(q ** tail), q, tail)
             blocks.append(block)
         return np.concatenate(blocks)
-    rows = []
-    for pivots in combinations(range(m), t):
-        free = [
-            (i, j)
-            for i in range(t)
-            for j in range(pivots[i] + 1, m)
-            if j not in pivots
-        ]
-        base = np.zeros((t, m), dtype=np.int64)
-        for i, c in enumerate(pivots):
-            base[i, c] = 1
-        for vals in product(range(q), repeat=len(free)):
-            M = base.copy()
-            for (i, j), v in zip(free, vals):
-                M[i, j] = v
-            rows.append(M.reshape(-1))
-    arr = np.array(rows, dtype=np.int64)
+    # the block list is freed before the sort copies arr
+    arr = np.concatenate([_pivot_block(q, t, m, pivots)
+                          for pivots in combinations(range(m), t)])
     keys = linalg.encode_rows(arr, q)
     order = np.argsort(keys, kind="stable")
     if len(arr) != gaussian_binomial(m, t, q):
         raise RuntimeError(f"enumerated {len(arr)} subspaces, expected "
                            f"{gaussian_binomial(m, t, q)}")
     return arr[order]
+
+
+def _pivot_block(q, t, m, pivots) -> np.ndarray:
+    """Every RREF basis (q^f, t*m) with the given pivot columns: its f free
+    entries (right of their row's pivot, off the pivot columns) run
+    through GF(q)^f in ascending code order."""
+    free = np.array([
+        (i, j)
+        for i in range(t)
+        for j in range(pivots[i] + 1, m)
+        if j not in pivots
+    ], dtype=np.int64).reshape(-1, 2)
+    f = len(free)
+    block = np.zeros((q ** f, t, m), dtype=np.int64)
+    block[:, np.arange(t), pivots] = 1
+    block[:, free[:, 0], free[:, 1]] = linalg.decode_codes(np.arange(q ** f), q, f)
+    return block.reshape(q ** f, t * m)
 
 
 def enumerate_subspaces(F, s: int, t: int):

@@ -1,8 +1,9 @@
 """Self-contained reference implementations used as oracles by the tests.
 
-Everything here is deliberately naive and independent of the package:
-plain itertools enumeration, float determinants (exact for the sizes and
-moduli involved), and dictionary-based orbit bookkeeping.  Slow is fine;
+Everything here is deliberately naive and, apart from the determinants
+of ``gl_det_filter``, independent of the package: plain itertools
+enumeration, float determinants (exact for the sizes and moduli
+involved), and dictionary-based orbit bookkeeping.  Slow is fine;
 these only run on small parameters.
 """
 
@@ -24,6 +25,48 @@ def raw_gl(p: int, s: int) -> np.ndarray:
         if round(float(np.linalg.det(C))) % p != 0:
             out.append(C)
     return np.array(out)
+
+
+def gl_det_filter(F, s: int) -> np.ndarray:
+    """GL(s, F) ascending by code: every s x s matrix in itertools.product
+    order, kept when its determinant is nonzero.
+
+    The determinants come from the package's ``det_batch``, which
+    test_linalg checks against the scalar ``det`` on its own.
+    """
+    from ringforge.gl import det_batch
+
+    mats = np.array(list(itertools.product(range(F.q), repeat=s * s)),
+                    dtype=np.int64).reshape(-1, s, s)
+    return mats[det_batch(F, mats) != 0]
+
+
+def product_subspace_rows(q: int, s: int, t: int) -> np.ndarray:
+    """Every t-dimensional subspace of GF(q)^(s*s) as its flattened RREF
+    basis (N, t*s*s), ascending by key.
+
+    One RREF shape per pivot pattern; its free entries (right of their
+    row's pivot, off the pivot columns) take every value by
+    itertools.product.  Keys put the first entry first, so sorting the
+    rows as tuples sorts them by key.
+    """
+    m = s * s
+    rows = []
+    for pivots in itertools.combinations(range(m), t):
+        free = [
+            (i, j)
+            for i in range(t)
+            for j in range(pivots[i] + 1, m)
+            if j not in pivots
+        ]
+        for vals in itertools.product(range(q), repeat=len(free)):
+            M = [[0] * m for _ in range(t)]
+            for i, c in enumerate(pivots):
+                M[i][c] = 1
+            for (i, j), v in zip(free, vals):
+                M[i][j] = v
+            rows.append(tuple(x for row in M for x in row))
+    return np.array(sorted(rows), dtype=np.int64).reshape(-1, t * m)
 
 
 def raw_congruence_orbit(p: int, A: np.ndarray, group=None) -> set:

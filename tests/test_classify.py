@@ -181,6 +181,21 @@ def test_auto_strategy_matches_explicit():
     assert [c.rep.flat for c in auto.classes] == [c.rep.flat for c in sweep.classes]
 
 
+# scalars fix every subspace, so a sweep computes at least N (q - 1)
+# images; BFS computes N (generators + 1), 4 per object at s = 2
+@pytest.mark.parametrize("p,r", [(2, 3), (3, 2), (11, 1), (13, 1)])
+def test_auto_picks_bfs_when_scalars_outweigh_generators(p, r):
+    assert classify_subspaces(GF(p, r), 2, 2).strategy == "bfs"
+
+
+def test_auto_keeps_sweep_over_gf2(classified):
+    rep, _ = classified("subspaces", 2, 1, 3, 2)
+    assert rep.strategy == "sweep"
+    # the sweep's budget check runs before the ground set is built
+    with pytest.raises(BudgetExceededError, match="subspace sweep"):
+        classify_subspaces(GF(2), 3, 3, budget=1)
+
+
 def test_canon_rows_rejects_rank_loss():
     F = GF(3)
     stack = np.array([[[1, 0, 0, 0], [0, 1, 0, 0]],

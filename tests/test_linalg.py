@@ -5,7 +5,7 @@ from ringforge import GF
 from ringforge import linalg as la
 from ringforge.gl import det_batch, enumerate_gl, gl_generators, gl_order
 
-from oracles import gf_table_kron, gf_table_matmul, raw_gl
+from oracles import gf_table_kron, gf_table_matmul, gl_det_filter, raw_gl
 
 
 def random_matrices(F, s, count, seed):
@@ -51,13 +51,20 @@ def test_rref_batch_matches_scalar(q, r):
     wide = rng.integers(0, F.q, size=(60, 3, 9), dtype=np.int64)
     wide[::3, 1] = 0                    # a zero row
     wide[1::3, 2] = wide[1::3, 0]       # a repeated row
-    for stack in (narrow, wide):
+    tall = rng.integers(0, F.q, size=(30, 5, 3), dtype=np.int64)   # t > m
+    lines = rng.integers(0, F.q, size=(40, 1, 9), dtype=np.int64)  # t = 1
+    lines[::4] = 0                      # all-zero items
+    zero = np.zeros((6, 3, 4), dtype=np.int64)
+    empty = np.zeros((0, 2, 4), dtype=np.int64)
+    for stack in (narrow, wide, tall, lines, zero, empty):
         R, ranks = la.rref_batch(F, stack)
+        assert R.shape == stack.shape and ranks.shape == (len(stack),)
         for i in range(len(stack)):
             Ri, piv = la.rref(F, stack[i])
             assert np.array_equal(R[i], Ri)
             assert ranks[i] == len(piv)
-    assert (ranks[::3] < 3).all() and (ranks[1::3] < 3).all()
+        if stack is wide:
+            assert (ranks[::3] < 3).all() and (ranks[1::3] < 3).all()
 
 
 # -- inverse, det, solve ---------------------------------------------------
@@ -228,6 +235,17 @@ def test_enumerate_gl_against_raw(q, s):
     got = {tuple(C.ravel()) for C in G}
     want = {tuple(C.ravel()) for C in raw_gl(q, s)}
     assert got == want
+
+
+@pytest.mark.parametrize("q,r,s", [
+    (2, 1, 1), (3, 1, 1), (2, 1, 2), (3, 1, 2), (5, 1, 2), (7, 1, 2),
+    (2, 2, 2), (3, 2, 2), (2, 1, 3), (3, 1, 3), (2, 2, 3),
+])
+def test_enumerate_gl_matches_det_filter(q, r, s):
+    F = GF(q, r)
+    G = enumerate_gl(F, s)
+    want = gl_det_filter(F, s)
+    assert G.dtype == want.dtype and np.array_equal(G, want)
 
 
 def test_enumerate_gl_extension_field():

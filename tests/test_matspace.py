@@ -19,7 +19,7 @@ from ringforge import (
 from ringforge import linalg as la
 from ringforge.gl import enumerate_gl
 
-from oracles import raw_congruence_orbit, raw_gl
+from oracles import product_subspace_rows, raw_congruence_orbit, raw_gl
 
 
 # -- the group action ------------------------------------------------------
@@ -126,6 +126,17 @@ def test_enumerate_counts(q, s, t):
         assert key not in seen
         seen.add(key)
         assert la.rank(F, row.reshape(t, s * s)) == t
+
+
+@pytest.mark.parametrize("q,r,s,t", [
+    *[(q, r, 2, t) for q, r in ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2))
+      for t in (1, 2, 3, 4)],
+    (2, 1, 3, 2),
+])
+def test_subspace_rows_match_product_oracle(q, r, s, t):
+    F = GF(q, r)
+    rows = subspace_rows(F, s, t)
+    assert np.array_equal(rows, product_subspace_rows(F.q, s, t))
 
 
 def test_enumerate_subspaces_iterates_keys():
