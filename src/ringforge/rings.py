@@ -35,6 +35,13 @@ _TABLE_LIMIT = 4096
 _EXHAUSTIVE_TRIPLES = 1 << 26
 
 
+def _over_table_limit(what: str, order: int) -> ValueError:
+    return ValueError(
+        f"{what} capped at order {_TABLE_LIMIT}, ring has {order} "
+        f"(change it with ringforge.rings._TABLE_LIMIT)"
+    )
+
+
 class AutomorphismConstraintError(ValueError):
     """theta_k must equal sigma_i + sigma_j wherever A_k[i, j] is nonzero."""
 
@@ -210,9 +217,7 @@ class Ring:
         if self._mul_t is None:
             N = self.order
             if N > _TABLE_LIMIT:
-                raise ValueError(
-                    f"multiplication table capped at order {_TABLE_LIMIT}, ring has {N}"
-                )
+                raise _over_table_limit("multiplication table", N)
             E = self.element_array()
             prod = self.mul_batch(E[:, None, :], E[None, :, :])
             self._mul_t = linalg.encode_rows(prod, self.field.q).astype(np.int64)
@@ -222,9 +227,7 @@ class Ring:
         if self._add_t is None:
             N = self.order
             if N > _TABLE_LIMIT:
-                raise ValueError(
-                    f"addition table capped at order {_TABLE_LIMIT}, ring has {N}"
-                )
+                raise _over_table_limit("addition table", N)
             E = self.element_array()
             tot = self.field._add_raw(E[:, None, :], E[None, :, :])
             self._add_t = linalg.encode_rows(tot, self.field.q).astype(np.int64)
@@ -373,57 +376,47 @@ class StructureReport:
         }
 
 
-def _radical_basis(ring: Ring):
-    """Z_p-basis elements of M = U + W, as element tuples."""
+def _zp_basis(ring: Ring) -> np.ndarray:
+    """Z_p-basis of the ring: rows carry p^d, the code of x^d, in one slot,
+    slot by slot, so the first r rows span F and the next s*r span U."""
     F = ring.field
-    out = []
-    for slot in range(1, ring.n):
-        for d in range(F.r):
-            e = [0] * ring.n
-            e[slot] = F.p ** d
-            out.append(tuple(e))
-    return out
+    basis = np.zeros((ring.n, F.r, ring.n), dtype=np.int64)
+    for slot in range(ring.n):
+        basis[slot, :, slot] = F._pows
+    return basis.reshape(ring.n * F.r, ring.n)
+
+
+def _f_dim(F: GF, rows: np.ndarray, what: str) -> int:
+    """Z_p-rank of a digit matrix as an F-dimension; r must divide it."""
+    rank = int(linalg.rref_batch(GF(F.p) if F.r > 1 else F, rows[None])[1][0])
+    if rank % F.r:
+        raise RuntimeError(f"Z_{F.p}-rank {rank} of {what} is not a multiple of r={F.r}")
+    return rank // F.r
 
 
 def ring_structure(ring: Ring) -> StructureReport:
+    """dim M, dim M^2 and dim ann M over F, commutativity and F-centrality.
+
+    M = U + W is the radical.  Multiplication is biadditive, so every
+    product is a Z_p-combination of products of Z_p-basis elements, and
+    all three bilinear facts are read off one product tensor P over the
+    pairs of ``_zp_basis``: the ring is commutative iff P is symmetric in
+    its first two axes; M^2 is the Z_p-span of the radical pair products,
+    which lie in W; W annihilates M, and ann M meets U in the kernel of
+    the Z_p-linear map u -> (u*b, b*u), b over the radical basis.
+    """
     F = ring.field
-    s, t, lam = ring.s, ring.t, ring.lam
-    basis = _radical_basis(ring)
-    # dim of M^2: products of radical basis pairs span it additively
-    Fp = GF(F.p) if F.r > 1 else F
-    prods = []
-    for b1 in basis:
-        for b2 in basis:
-            w = ring.mul(b1, b2)[1 + s:]
-            prods.append(F._digits[list(w)].ravel())
-    rank_zp = linalg.rank(Fp, np.array(prods, dtype=np.int64))
-    if rank_zp % F.r:
-        raise RuntimeError(f"Z_{F.p}-rank {rank_zp} of M^2 is not a multiple of r={F.r}")
-    dim_m2 = rank_zp // F.r
-    # ann(M): all of the W block, plus the U vectors killed on both sides
-    kill = 0
-    for a_code in range(F.q ** s):
-        u = linalg.decode_codes(np.int64(a_code), F.q, s)
-        x = (0,) + tuple(int(v) for v in u) + (0,) * (t + lam)
-        if all(
-            ring.mul(x, b) == ring.zero() and ring.mul(b, x) == ring.zero()
-            for b in basis
-        ):
-            kill += 1
-    dim_u_ann = 0
-    while F.q ** (dim_u_ann + 1) <= kill:
-        dim_u_ann += 1
-    if F.q ** dim_u_ann != kill:
-        raise RuntimeError(f"{kill} annihilator solutions do not form a subspace")
-    # commutativity: table check when small, complete basis-pair check else
-    if ring.order <= _TABLE_LIMIT:
-        T = ring.mul_table()
-        commutative = bool((T == T.T).all())
-    else:
-        full = [ring.one()] + basis
-        commutative = all(
-            ring.mul(b1, b2) == ring.mul(b2, b1) for b1 in full for b2 in full
-        )
+    r, s, t, lam = F.r, ring.s, ring.t, ring.lam
+    Z = _zp_basis(ring)
+    P = ring.mul_batch(Z[:, None, :], Z[None, :, :])        # (n*r, n*r, n)
+    commutative = bool((P == P.transpose(1, 0, 2)).all())
+    D = F._digits[P]                                        # (n*r, n*r, n, r)
+    rad, u_rows = slice(r, None), slice(r, r + s * r)
+    # M^2: one column per radical pair, one row per Z_p digit of W
+    dim_m2 = _f_dim(F, D[rad, rad, 1 + s:].reshape(-1, (t + lam) * r).T, "M^2")
+    # ann M in U: kernel of u -> (u*b, b*u), one row per U basis element
+    both = np.concatenate([D[u_rows, rad], D[rad, u_rows].transpose(1, 0, 2, 3)], axis=1)
+    dim_u_ann = s - _f_dim(F, both.reshape(s * r, -1), "u -> (uM, Mu)")
     f_central = all(e == 0 for e in ring.sigma) and all(e == 0 for e in ring.theta)
     return StructureReport(
         order=ring.order,
@@ -512,13 +505,13 @@ def verify_witness(specA: RingSpec, specD: RingSpec, witness: IsoWitness,
     if not (_psi_apply(ringA, witness, one) == one).all():
         return False
     if exhaustive:
-        if ringA.order > 4096:
-            raise ValueError("exhaustive witness check capped at order 4096")
+        if ringA.order > _TABLE_LIMIT:
+            raise _over_table_limit("exhaustive witness check", ringA.order)
         E = ringA.element_array()
         X = np.repeat(E, len(E), axis=0)
         Y = np.tile(E, (len(E), 1))
     else:
-        basis = np.array([ringA.one()] + _radical_basis(ringA), dtype=np.int64)
+        basis = _zp_basis(ringA)
         X = np.repeat(basis, len(basis), axis=0)
         Y = np.tile(basis, (len(basis), 1))
     lhs = _psi_apply(ringA, witness, ringA.mul_batch(X, Y))

@@ -1,7 +1,8 @@
 """Self-contained reference implementations used as oracles by the tests.
 
 Everything here is deliberately naive and, apart from the determinants
-of ``gl_det_filter``, independent of the package: plain itertools
+of ``gl_det_filter`` and the ring products and scalar ranks of
+``brute_structure``, independent of the package: plain itertools
 enumeration, float determinants (exact for the sizes and moduli
 involved), and dictionary-based orbit bookkeeping.  Slow is fine;
 these only run on small parameters.
@@ -219,3 +220,42 @@ def least_generator(p: int, modulus) -> int:
         if order == q - 1:
             return g
     raise AssertionError("no generator")
+
+
+def brute_structure(ring):
+    """(dim M, dim M^2, dim ann M, commutative) of a ring of order <= 4096.
+
+    Commutativity from the full multiplication table; ann M from a scan
+    of all q^s vectors of U against the radical's Z_p-basis on both
+    sides; M^2 as the span of the W parts of all radical basis products,
+    ranked by the package's scalar ``rank`` over Z_p.  Products come from
+    ``Ring.mul``, which test_rings checks against a direct formula.
+    """
+    from ringforge import GF
+    from ringforge import linalg as la
+
+    F = ring.field
+    s, t, lam = ring.s, ring.t, ring.lam
+    basis = []
+    for slot in range(1, ring.n):
+        for d in range(F.r):
+            e = [0] * ring.n
+            e[slot] = F.p ** d
+            basis.append(tuple(e))
+    prods = []
+    for b1 in basis:
+        for b2 in basis:
+            w = ring.mul(b1, b2)[1 + s:]
+            prods.append([(c // F.p ** d) % F.p for c in w for d in range(F.r)])
+    rank = la.rank(GF(F.p), np.array(prods, dtype=np.int64))
+    assert rank % F.r == 0
+    kill = 0
+    for u in itertools.product(range(F.q), repeat=s):
+        x = (0,) + u + (0,) * (t + lam)
+        if all(ring.mul(x, b) == ring.zero() and ring.mul(b, x) == ring.zero()
+               for b in basis):
+            kill += 1
+    dim_u = round(np.log(kill) / np.log(F.q))
+    assert F.q ** dim_u == kill
+    T = ring.mul_table()
+    return (s + t + lam, rank // F.r, dim_u + t + lam, bool((T == T.T).all()))

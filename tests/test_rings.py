@@ -19,6 +19,7 @@ from ringforge import (
 from ringforge import linalg as la
 
 from conftest import prime_spec
+from oracles import brute_structure
 
 
 def gf4_spec(mats, sigma, theta, lam=0):
@@ -126,6 +127,8 @@ def test_table_cap():
     ring = Ring(prime_spec(5, np.eye(3, dtype=np.int64), lam=2))  # 5^7
     with pytest.raises(ValueError, match="capped"):
         ring.mul_table()
+    with pytest.raises(ValueError, match=r"ringforge\.rings\._TABLE_LIMIT"):
+        ring.add_table()
 
 
 # -- axioms ----------------------------------------------------------------
@@ -252,6 +255,68 @@ def test_symmetry_decides_commutativity_gf3():
         done += 1
 
 
+def random_spec(rng, F, s, t, lam):
+    """A valid presentation with random Frobenius exponents over F."""
+    while True:
+        sigma = tuple(int(e) for e in rng.integers(0, F.r, size=s))
+        sums = np.add.outer(sigma, sigma) % F.r
+        theta = [int(rng.choice(sums.ravel())) for _ in range(t)]
+        mats = np.stack([
+            np.where(sums == th, rng.integers(0, F.q, size=(s, s)), 0) for th in theta
+        ])
+        tail = [int(e) for e in rng.integers(0, F.r, size=lam)]
+        spec = RingSpec(F, s, t, lam, mats, sigma, tuple(theta + tail))
+        try:
+            Ring(spec)
+        except ValueError:  # dependent or zero matrices: draw again
+            continue
+        return spec
+
+
+# (p, r, s, t, lambda), all of order <= 1024 so the oracle's table stays small
+ORACLE_CELLS = [
+    (2, 1, 2, 1, 0), (2, 1, 2, 2, 1), (2, 1, 3, 2, 1), (2, 1, 3, 3, 1),
+    (2, 1, 4, 2, 1), (3, 1, 2, 1, 0), (3, 1, 2, 2, 1), (3, 1, 3, 1, 1),
+    (3, 1, 3, 2, 0), (5, 1, 2, 1, 0), (5, 1, 1, 1, 1), (2, 2, 1, 1, 0),
+    (2, 2, 2, 1, 0), (2, 2, 2, 1, 1), (2, 2, 2, 2, 0), (2, 2, 1, 1, 1),
+    (2, 3, 1, 1, 0), (3, 2, 1, 1, 0),
+]
+
+
+def test_structure_matches_brute_oracle():
+    seen = set()
+    for p, r, s, t, lam in ORACLE_CELLS:
+        F = GF(p, r)
+        rng = np.random.default_rng(1000 * p + 100 * r + 10 * s + t + lam)
+        for _ in range(6 if r > 1 else 3):      # more twist patterns when r > 1
+            ring = Ring(random_spec(rng, F, s, t, lam))
+            rep = ring_structure(ring)
+            got = rep.radical_dims + (rep.commutative,)
+            assert got == brute_structure(ring), ring.spec
+            seen.add((r > 1, rep.commutative))
+    # both answers occur, over prime and over extension fields
+    assert len(seen) == 4
+
+
+def test_twisted_tail_breaks_commutativity():
+    # theta = 1 on the tail: x * w_2 = x w_2 but w_2 * x = x^2 w_2; the
+    # order 4^7 is past the table limit
+    F = GF(2, 2)
+    spec = RingSpec(F, 2, 1, 3, np.eye(2, dtype=np.int64)[None], (0, 0), (0, 1, 1, 1))
+    rep = ring_structure(Ring(spec))
+    assert rep.order == 4 ** 7
+    assert rep.radical_dims == (6, 1, 4)
+    assert not rep.commutative
+
+
+def test_structure_gf_2_16():
+    F = GF(2, 16)
+    spec = RingSpec(F, 2, 1, 1, np.eye(2, dtype=np.int64)[None], (3, 3), (6, 2))
+    rep = ring_structure(Ring(spec))
+    assert rep.radical_dims == (4, 1, 2)
+    assert not rep.commutative
+
+
 # -- isomorphism -----------------------------------------------------------
 
 def test_iso_rejects_distinct_classes():
@@ -357,10 +422,21 @@ def test_witness_rejects_tampering():
     assert not verify_witness(a, d, singular)
 
 
+def test_witness_checks_field_basis_pairs():
+    # the map breaks multiplicativity only on pairs that involve the field
+    # element x, which a basis of 1 and the radical leaves out
+    a = gf4_spec([[1, 0], [0, 0]], sigma=(0, 1), theta=(0,))
+    w = IsoWitness(0, np.array([[1, 0], [1, 1]], np.int64), np.array([[1]], np.int64), ())
+    assert not verify_witness(a, a, w, exhaustive=True)
+    assert not verify_witness(a, a, w)
+
+
 def test_witness_exhaustive_cap():
     a = prime_spec(5, np.eye(2, dtype=np.int64), lam=2)  # 5^6 elements
     w = iso_test(a, a)
     with pytest.raises(ValueError, match="4096"):
+        verify_witness(a, a, w, exhaustive=True)
+    with pytest.raises(ValueError, match=r"ringforge\.rings\._TABLE_LIMIT"):
         verify_witness(a, a, w, exhaustive=True)
 
 
