@@ -15,9 +15,10 @@ import numpy as np
 
 __all__ = ["GF", "is_prime"]
 
-# full q x q add/mul tables (and their list twins for scalar calls) are only
-# built below this size; larger fields fall back to log/exp and digit ops
-_TABLE_LIMIT = 1024
+# largest q whose extension field gets full q x q add/mul tables (and their
+# list twins for scalar calls); larger fields use log/exp and digit ops.
+# A field-size bound, unrelated to the ring-order cap rings._TABLE_LIMIT
+_FULL_TABLE_Q = 1024
 _Q_LIMIT = 1 << 16
 
 
@@ -220,7 +221,7 @@ class GF:
                 nxt[nz] = exp[(log[prev[nz]] * p) % (q - 1)]
                 frob[e] = nxt
             self._frob = frob
-        if r > 1 and q <= _TABLE_LIMIT:
+        if r > 1 and q <= _FULL_TABLE_Q:
             add = (self._digits[:, None, :] + self._digits[None, :, :]) % p
             self._add_t = add @ self._pows
             with np.errstate(all="ignore"):

@@ -33,6 +33,16 @@ __all__ = [
 
 _TABLE_LIMIT = 4096
 _EXHAUSTIVE_TRIPLES = 1 << 26
+# element pairs per block of the N^2 tables and of the exhaustive witness check
+_PAIR_BLOCK = 1 << 15
+
+
+def _row_blocks(N: int):
+    """Slices of range(N) whose rows pair with N partners in about
+    ``_PAIR_BLOCK`` pairs, so a pair stack over all N^2 pairs is built a
+    block at a time."""
+    step = max(1, _PAIR_BLOCK // N)
+    return [slice(lo, min(lo + step, N)) for lo in range(0, N, step)]
 
 
 def _over_table_limit(what: str, order: int) -> ValueError:
@@ -215,23 +225,25 @@ class Ring:
 
     def mul_table(self) -> np.ndarray:
         if self._mul_t is None:
-            N = self.order
-            if N > _TABLE_LIMIT:
-                raise _over_table_limit("multiplication table", N)
-            E = self.element_array()
-            prod = self.mul_batch(E[:, None, :], E[None, :, :])
-            self._mul_t = linalg.encode_rows(prod, self.field.q).astype(np.int64)
+            self._mul_t = self._pair_table(self.mul_batch, "multiplication table")
         return self._mul_t
 
     def add_table(self) -> np.ndarray:
         if self._add_t is None:
-            N = self.order
-            if N > _TABLE_LIMIT:
-                raise _over_table_limit("addition table", N)
-            E = self.element_array()
-            tot = self.field._add_raw(E[:, None, :], E[None, :, :])
-            self._add_t = linalg.encode_rows(tot, self.field.q).astype(np.int64)
+            self._add_t = self._pair_table(self.field._add_raw, "addition table")
         return self._add_t
+
+    def _pair_table(self, op, what: str) -> np.ndarray:
+        """(N, N) codes of op(x_i, x_j), built a block of rows at a time."""
+        N = self.order
+        if N > _TABLE_LIMIT:
+            raise _over_table_limit(what, N)
+        E = self.element_array()
+        out = np.empty((N, N), dtype=np.int64)
+        for rows in _row_blocks(N):
+            out[rows] = linalg.encode_rows(op(E[rows, None, :], E[None, :, :]),
+                                           self.field.q)
+        return out
 
     def __repr__(self):
         return (
@@ -508,15 +520,19 @@ def verify_witness(specA: RingSpec, specD: RingSpec, witness: IsoWitness,
         if ringA.order > _TABLE_LIMIT:
             raise _over_table_limit("exhaustive witness check", ringA.order)
         E = ringA.element_array()
-        X = np.repeat(E, len(E), axis=0)
-        Y = np.tile(E, (len(E), 1))
+        pairs = [(E[rows], E) for rows in _row_blocks(len(E))]
     else:
         basis = _zp_basis(ringA)
-        X = np.repeat(basis, len(basis), axis=0)
-        Y = np.tile(basis, (len(basis), 1))
-    lhs = _psi_apply(ringA, witness, ringA.mul_batch(X, Y))
-    rhs = ringD.mul_batch(_psi_apply(ringA, witness, X), _psi_apply(ringA, witness, Y))
-    return bool((lhs == rhs).all())
+        pairs = [(basis, basis)]
+    for left, right in pairs:
+        X = np.repeat(left, len(right), axis=0)
+        Y = np.tile(right, (len(left), 1))
+        lhs = _psi_apply(ringA, witness, ringA.mul_batch(X, Y))
+        rhs = ringD.mul_batch(_psi_apply(ringA, witness, X),
+                              _psi_apply(ringA, witness, Y))
+        if not (lhs == rhs).all():
+            return False
+    return True
 
 
 def _check_same_invariants(specA: RingSpec, specD: RingSpec):
@@ -530,6 +546,39 @@ def _check_same_invariants(specA: RingSpec, specD: RingSpec):
         )
 
 
+def _span_invariant(F: GF, mats: np.ndarray) -> np.ndarray:
+    """Sorted (rank M, rank(M + M^T), rank(M - M^T)) codes over one M per
+    projective point of span(A_1..A_t).
+
+    Congruence, recombination and Frobenius map the span's points onto
+    the image span's points and keep all three ranks, so two spans that
+    ``iso_test`` could match have equal invariants.
+    """
+    t, s, _ = mats.shape
+    q = F.q
+    codes = linalg.decode_codes(np.arange(1, q ** t), q, t)
+    lead = codes[np.arange(len(codes)), (codes != 0).argmax(axis=1)]
+    points = codes[lead == 1]                       # first nonzero entry 1
+    M = linalg.linmap_apply(F, points, linalg.lower(F, mats.reshape(t, s * s)))
+    M = M.reshape(-1, s, s)
+    Mt = M.transpose(0, 2, 1)
+    ranks = [linalg.rref_batch(F, X)[1]
+             for X in (M, F._add_raw(M, Mt), F._add_raw(M, F._neg_raw(Mt)))]
+    return np.sort(((ranks[0] * (s + 1)) + ranks[1]) * (s + 1) + ranks[2])
+
+
+def _congruence_images(F: GF, rows: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """C_g^T A_k C_g for a stack C (G, s, s) and the rows (t*s, s) of
+    A_1..A_t, as (G, t, s*s): A_k C_g first, then (A_k C_g)^T C_g, which
+    is the transposed image."""
+    G, s, _ = C.shape
+    t = len(rows) // s
+    L = linalg.lower(F, C)
+    AC = linalg.linmap_apply(F, rows, L).reshape(G, t, s, s)
+    img = linalg.linmap_apply(F, AC.transpose(0, 1, 3, 2).reshape(G, t * s, s), L)
+    return img.reshape(G, t, s, s).transpose(0, 1, 3, 2).reshape(G, t, s * s)
+
+
 def iso_test(specA: RingSpec, specD: RingSpec, mode: str = "central",
              certify: bool = True) -> IsoWitness | None:
     """Search for an isomorphism witness; None means no certified witness.
@@ -539,6 +588,18 @@ def iso_test(specA: RingSpec, specD: RingSpec, mode: str = "central",
       global_twist automorphism lists match as multisets; candidate
                    witnesses must pass the element-map certification
       s1t1         s = t = 1, decided by the scalar criterion
+
+    In modes central and global_twist the search looks, for each
+    Frobenius power e in turn, for a C in GL(s, q) with
+    span(C^T Frob_e(A_k) C) = span(D_k), then solves for the
+    recombination B and certifies the witness.  Before any search, the
+    span invariant of ``_span_invariant`` must agree on both sides; the
+    pairs it rejects have no such C.  GL(s, q) is walked in the ascending
+    chunks of ``gl.gl_chunks``, each chunk's images are computed directly
+    as C^T A C, and the first certified witness is returned, so memory is
+    bounded by one chunk and the witness is the one an ascending scan of
+    the whole group finds first.  GL(s, q) over ``gl.ENUM_LIMIT`` is
+    refused with a ValueError.
     """
     ringA, ringD = Ring(specA), Ring(specD)
     _check_same_invariants(specA, specD)
@@ -581,34 +642,36 @@ def iso_test(specA: RingSpec, specD: RingSpec, mode: str = "central",
     if perm is None:
         return None
 
+    gl._check_enum_limit(F.q, s)
+    if not np.array_equal(_span_invariant(F, ringA.matrices),
+                          _span_invariant(F, ringD.matrices)):
+        return None
+
     m = s * s
-    VA = ringA.matrices.reshape(t, m)
     D_rows = ringD.matrices.reshape(t, m)
     target_R, _ = linalg.rref(F, D_rows)
     target_key = int(linalg.encode_rows(target_R.reshape(-1), F.q))
-    Gmats = gl.enumerate_gl(F, s)
-    P = linalg.kron_batch(F, Gmats)
     for e in F.automorphism_exponents():
-        Ve = F._frob_raw(VA, e)
-        imgs = linalg.linmap_apply(F, Ve, P)            # (G, t, m)
-        R, ranks = linalg.rref_batch(F, imgs)
-        keys = linalg.encode_rows(R.reshape(len(Gmats), t * m), F.q)
-        for ci in np.where((keys == target_key) & (ranks == t))[0]:
-            C = Gmats[ci]
-            X = imgs[ci]                                # t rows, the twisted A_k
-            cols = []
-            for rho in range(t):
-                beta = linalg.solve(F, X.T, D_rows[rho])
-                if beta is None:
-                    break
-                cols.append(beta)
-            else:
-                B = np.stack(cols, axis=1)
-                if linalg.det(F, B) == 0:
-                    continue
-                witness = IsoWitness(sigma=e, C=C, B=B, v_perm=perm)
-                if not certify or verify_witness(specA, specD, witness):
-                    return witness
+        rows_e = F._frob_raw(ringA.matrices, e).reshape(t * s, s)
+        for Gmats in gl.gl_chunks(F, s):
+            imgs = _congruence_images(F, rows_e, Gmats)     # (G, t, m)
+            R, ranks = linalg.rref_batch(F, imgs)
+            keys = linalg.encode_rows(R.reshape(len(Gmats), t * m), F.q)
+            for ci in np.flatnonzero((keys == target_key) & (ranks == t)):
+                X = imgs[ci]                            # t rows, the twisted A_k
+                cols = []
+                for rho in range(t):
+                    beta = linalg.solve(F, X.T, D_rows[rho])
+                    if beta is None:
+                        break
+                    cols.append(beta)
+                else:
+                    B = np.stack(cols, axis=1)
+                    if linalg.det(F, B) == 0:
+                        continue
+                    witness = IsoWitness(sigma=e, C=Gmats[ci], B=B, v_perm=perm)
+                    if not certify or verify_witness(specA, specD, witness):
+                        return witness
     return None
 
 

@@ -1,11 +1,13 @@
 """Self-contained reference implementations used as oracles by the tests.
 
 Everything here is deliberately naive and, apart from the determinants
-of ``gl_det_filter`` and the ring products and scalar ranks of
-``brute_structure``, independent of the package: plain itertools
-enumeration, float determinants (exact for the sizes and moduli
-involved), and dictionary-based orbit bookkeeping.  Slow is fine;
-these only run on small parameters.
+of ``gl_det_filter``, the ring products and scalar ranks of
+``brute_structure`` and the kernels of ``iso_exhaustive``, independent
+of the package: plain itertools enumeration, float determinants (exact
+for the sizes and moduli involved), and dictionary-based orbit
+bookkeeping.  ``iso_exhaustive`` is the whole-group isomorphism search
+that ``iso_test`` replaced: it shares no search order, prefilter or
+chunking with it.  Slow is fine; these only run on small parameters.
 """
 
 import itertools
@@ -259,3 +261,54 @@ def brute_structure(ring):
     assert F.q ** dim_u == kill
     T = ring.mul_table()
     return (s + t + lam, rank // F.r, dim_u + t + lam, bool((T == T.T).all()))
+
+
+def iso_exhaustive(specA, specD, mode: str = "central", certify: bool = True):
+    """``iso_test`` in modes central and global_twist by the whole-group
+    search: the lowered kron(C, C) of every element of GL(s, q) at once,
+    every image eliminated, then the candidates in ascending order of C
+    within each Frobenius power.  No invariant prefilter, no chunks."""
+    from ringforge import gl, linalg
+    from ringforge.rings import (IsoWitness, Ring, _check_same_invariants,
+                                 _tail_alignment, verify_witness)
+
+    ringA, ringD = Ring(specA), Ring(specD)
+    _check_same_invariants(specA, specD)
+    F = ringA.field
+    s, t = ringA.s, ringA.t
+    if mode == "central":
+        if any(ringA.sigma + ringA.theta) or any(ringD.sigma + ringD.theta):
+            raise ValueError("mode 'central' requires identity automorphisms")
+    elif mode == "global_twist":
+        if sorted(ringA.sigma) != sorted(ringD.sigma):
+            return None
+        if sorted(ringA.theta[:t]) != sorted(ringD.theta[:t]):
+            return None
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    perm = _tail_alignment(ringA.theta, ringD.theta, t)
+    if perm is None:
+        return None
+    m = s * s
+    VA = ringA.matrices.reshape(t, m)
+    D_rows = ringD.matrices.reshape(t, m)
+    target_R, _ = linalg.rref(F, D_rows)
+    target_key = int(linalg.encode_rows(target_R.reshape(-1), F.q))
+    Gmats = gl.enumerate_gl(F, s)
+    P = linalg.kron_batch(F, Gmats)
+    for e in F.automorphism_exponents():
+        imgs = linalg.linmap_apply(F, F._frob_raw(VA, e), P)    # (G, t, m)
+        R, ranks = linalg.rref_batch(F, imgs)
+        keys = linalg.encode_rows(R.reshape(len(Gmats), t * m), F.q)
+        for ci in np.where((keys == target_key) & (ranks == t))[0]:
+            X = imgs[ci]
+            cols = [linalg.solve(F, X.T, D_rows[rho]) for rho in range(t)]
+            if any(c is None for c in cols):
+                continue
+            B = np.stack(cols, axis=1)
+            if linalg.det(F, B) == 0:
+                continue
+            witness = IsoWitness(sigma=e, C=Gmats[ci], B=B, v_perm=perm)
+            if not certify or verify_witness(specA, specD, witness):
+                return witness
+    return None

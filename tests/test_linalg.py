@@ -3,7 +3,8 @@ import pytest
 
 from ringforge import GF
 from ringforge import linalg as la
-from ringforge.gl import det_batch, enumerate_gl, gl_generators, gl_order
+from ringforge import gl
+from ringforge.gl import det_batch, enumerate_gl, gl_chunks, gl_generators, gl_order
 
 from oracles import gf_table_kron, gf_table_matmul, gl_det_filter, raw_gl
 
@@ -246,6 +247,26 @@ def test_enumerate_gl_matches_det_filter(q, r, s):
     G = enumerate_gl(F, s)
     want = gl_det_filter(F, s)
     assert G.dtype == want.dtype and np.array_equal(G, want)
+
+
+# 1 and 4 are below one prefix's q^s - q^(s-1) extensions at every cell
+@pytest.mark.parametrize("chunk", [1, 4, 50, 1000, 1 << 16])
+@pytest.mark.parametrize("q,r,s", [(2, 1, 1), (3, 1, 2), (2, 1, 3), (2, 2, 2), (3, 1, 3)])
+def test_gl_chunks_ascending_and_complete(monkeypatch, chunk, q, r, s):
+    monkeypatch.setattr(gl, "_GL_CHUNK", chunk)
+    F = GF(q, r)
+    chunks = list(gl_chunks(F, s))
+    keys = [la.encode_rows(C.reshape(len(C), s * s), F.q) for C in chunks]
+    for k in keys:
+        assert (np.diff(k) > 0).all()
+    for prev, nxt in zip(keys, keys[1:]):
+        assert prev[-1] < nxt[0]            # so the chunks are disjoint
+    assert len(set(np.concatenate(keys).tolist())) == gl_order(F.q, s)
+    whole = np.concatenate(chunks)
+    assert np.array_equal(whole, enumerate_gl(F, s))
+    assert np.array_equal(whole, gl_det_filter(F, s))
+    per = max(1, chunk // (F.q ** s - F.q ** (s - 1)))
+    assert len(chunks) == -(-gl_order(F.q, s) // (per * (F.q ** s - F.q ** (s - 1))))
 
 
 def test_enumerate_gl_extension_field():

@@ -16,10 +16,11 @@ from ringforge import (
     ring_structure,
     verify_witness,
 )
+from ringforge import gl, rings
 from ringforge import linalg as la
 
 from conftest import prime_spec
-from oracles import brute_structure
+from oracles import brute_structure, iso_exhaustive
 
 
 def gf4_spec(mats, sigma, theta, lam=0):
@@ -477,3 +478,137 @@ def test_iso_round_trip_random(seed):
     w = iso_test(spec, d)
     assert w is not None
     assert verify_witness(spec, d, w)
+
+
+# -- iso_test against the whole-group search ------------------------------
+
+def random_invertible(rng, F, s, q=None):
+    """A random invertible s x s matrix with entries below q (default F.q)."""
+    while True:
+        C = rng.integers(0, q or F.q, size=(s, s), dtype=np.int64)
+        if la.det(F, C) != 0:
+            return C
+
+
+def central_spec(rng, F, s, t, lam):
+    """t random independent structural matrices, identity automorphisms."""
+    while True:
+        mats = rng.integers(0, F.q, size=(t, s, s), dtype=np.int64)
+        if la.rank(F, mats.reshape(t, s * s)) == t:
+            return RingSpec(F, s, t, lam, mats, (0,) * s, (0,) * (t + lam))
+
+
+def twisted_spec(rng, F, s, t, lam):
+    """Shared sigma = 1 on U, so every entry of A_k needs theta_k = 2."""
+    spec = central_spec(rng, F, s, t, lam)
+    tail = tuple(int(e) for e in rng.integers(0, F.r, size=lam))
+    return RingSpec(F, s, t, lam, spec.matrices, (1,) * s,
+                    (2 % F.r,) * t + tail)
+
+
+def partner(rng, spec, twisted):
+    """equivalent_spec with a random C, B, Frobenius power and tail
+    permutation; a twisted spec needs C over the prime field."""
+    F = spec.field
+    C = random_invertible(rng, F, spec.s, q=F.p if twisted else None)
+    return equivalent_spec(spec, C, sigma_e=int(rng.integers(0, F.r)),
+                           B=random_invertible(rng, F, spec.t),
+                           tail_perm=tuple(int(i) for i in rng.permutation(spec.lam)))
+
+
+# (p, r, s, t, lambda, mode); s <= 3 wherever GL(s, q) is within ENUM_LIMIT
+ISO_ORACLE_CELLS = [
+    (2, 1, 1, 1, 1, "central"), (2, 1, 2, 1, 1, "central"),
+    (2, 1, 3, 2, 1, "central"), (2, 1, 3, 3, 0, "central"),
+    (3, 1, 2, 1, 0, "central"), (3, 1, 2, 2, 1, "central"),
+    (3, 1, 3, 1, 0, "central"), (3, 1, 3, 2, 1, "central"),
+    (2, 2, 2, 1, 1, "central"), (2, 2, 2, 3, 0, "central"),
+    (2, 2, 3, 1, 0, "central"),
+    (5, 1, 1, 1, 1, "central"), (5, 1, 2, 1, 0, "central"),
+    (5, 1, 2, 2, 1, "central"),
+    (2, 3, 2, 1, 0, "central"), (2, 3, 2, 2, 1, "central"),
+    (3, 2, 2, 1, 1, "central"), (3, 2, 2, 3, 0, "central"),
+    (2, 2, 2, 1, 1, "global_twist"), (2, 3, 2, 2, 0, "global_twist"),
+    (3, 2, 2, 1, 1, "global_twist"),
+]
+
+
+def test_iso_matches_exhaustive_oracle():
+    seen = set()
+    for p, r, s, t, lam, mode in ISO_ORACLE_CELLS:
+        F = GF(p, r)
+        twisted = mode == "global_twist"
+        make = twisted_spec if twisted else central_spec
+        rng = np.random.default_rng([p, r, s, t, lam, twisted])
+        for _ in range(2):
+            a = make(rng, F, s, t, lam)
+            for d in (partner(rng, a, twisted), make(rng, F, s, t, lam)):
+                got = iso_test(a, d, mode=mode)
+                want = iso_exhaustive(a, d, mode=mode)
+                assert (got is None) == (want is None), (a, d)
+                if got is not None:
+                    assert got.sigma == want.sigma
+                    assert np.array_equal(got.C, want.C)
+                    assert np.array_equal(got.B, want.B)
+                    assert got.v_perm == want.v_perm
+                same_span = np.array_equal(rings._span_invariant(F, a.matrices),
+                                           rings._span_invariant(F, d.matrices))
+                seen.add((got is not None, same_span))
+    # witnesses, prefilter rejections, and full scans that find nothing
+    assert seen == {(True, True), (False, False), (False, True)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_span_invariant_unchanged_by_equivalent_spec(seed):
+    rng = np.random.default_rng(seed)
+    p, r = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)][rng.integers(0, 6)]
+    F = GF(p, r)
+    s = int(rng.integers(1, 4))
+    t = int(rng.integers(1, min(3, s * s) + 1))
+    a = central_spec(rng, F, s, t, 0)
+    d = partner(rng, a, twisted=False)
+    assert np.array_equal(rings._span_invariant(F, a.matrices),
+                          rings._span_invariant(F, d.matrices))
+
+
+def test_span_invariant_rejects_before_any_search(monkeypatch):
+    def no_search(F, s):
+        raise AssertionError("GL(s, q) was enumerated")
+
+    monkeypatch.setattr(gl, "gl_chunks", no_search)
+    a = prime_spec(5, [[1, 2, 0], [0, 1, 3], [1, 0, 1]])
+    d = prime_spec(5, [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+    assert la.rank(GF(5), a.matrices[0]) == 3
+    assert la.rank(GF(5), d.matrices[0]) == 2
+    assert iso_test(a, d) is None
+    # the enumeration limit still comes first
+    monkeypatch.setattr(gl, "ENUM_LIMIT", 100)
+    with pytest.raises(ValueError, match=r"ringforge\.gl\.ENUM_LIMIT"):
+        iso_test(a, d)
+
+
+def test_pair_tables_and_exhaustive_witness_memory():
+    import tracemalloc
+
+    a = prime_spec(3, [[1, 2], [0, 1]], lam=2)                  # 3^6 = 729
+    d = equivalent_spec(a, [[1, 1], [0, 1]], B=[[2]], tail_perm=(1, 0))
+    w = iso_test(a, d)
+    ring = Ring(a)
+    tracemalloc.start()
+    try:
+        assert verify_witness(a, d, w, exhaustive=True)
+        witness_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        T = ring.mul_table()
+        table_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness_peak < 32 * 2 ** 20
+    assert table_peak < 16 * 2 ** 20
+    E = ring.element_array()
+    rng = np.random.default_rng(6)
+    i, j = rng.integers(0, ring.order, size=(2, 200))
+    assert np.array_equal(T[i, j], la.encode_rows(ring.mul_batch(E[i], E[j]), 3))
+    S = ring.add_table()
+    assert np.array_equal(S[i, j], la.encode_rows(GF(3)._add_raw(E[i], E[j]), 3))
