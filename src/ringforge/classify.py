@@ -3,11 +3,13 @@
 Two group actions are classified here: congruence orbits of single
 matrices (A -> C^T A C over GL(s, F)) and equivalence orbits of
 t-dimensional matrix spaces (S -> span{C^T A^sigma C : A in S}, with the
-field automorphism twist optional).  Both engines materialize the ground
-set, then either sweep the whole group per undiscovered orbit or close
-over a generating set, whichever fits the action budget.  Everything is
-deterministic: objects are visited in ascending key order and every orbit
-is named by its minimum key.
+field automorphism twist optional).  Both run one engine, generator BFS:
+every object of the ground set is moved by each of the two or three
+generators of ``gl.gl_generators`` (and by the Frobenius), and the orbits
+are the connected components of the resulting graph.  A subspace sweep,
+the full-group image of each undiscovered orbit, remains as the explicit
+``strategy="sweep"``.  Everything is deterministic: objects are held in
+ascending key order and every orbit is named by its minimum key.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from . import gl, linalg
@@ -26,13 +28,13 @@ from .matspace import SubspaceKey, dead_indices, subspace_rows
 __all__ = [
     "BudgetExceededError", "OrbitClass", "ClassReport", "OrbitResult",
     "classify_congruence", "classify_subspaces", "orbit_of",
-    "DEFAULT_BUDGET", "SWEEP_LIMIT",
+    "DEFAULT_BUDGET",
 ]
 
 DEFAULT_BUDGET = 10 ** 12
-SWEEP_LIMIT = 10 ** 9          # sweep-vs-BFS strategy threshold
 ENV_BUDGET = "RINGFORGE_BUDGET"
 _GROUND_LIMIT = 5 * 10 ** 6    # dense ground sets larger than this are refused
+_BFS_CHUNK = 1 << 16           # objects per block of a BFS image pass
 
 
 class BudgetExceededError(RuntimeError):
@@ -125,67 +127,88 @@ class OrbitResult:
     members: tuple | None = None
 
 
+# -- the generator-BFS orbit engine --
+
+def _bfs_orbits(s, N, load, actions, locate):
+    """Orbits of the N ground objects as connected components of the graph
+    joining each object to the ground index of its image under each
+    action, computed in blocks of ``_BFS_CHUNK`` objects, so no image
+    stack of the whole ground set is held.  Returns an iterator of (first
+    index, size, whether a member has no dead index), ascending by first
+    index, so every orbit is named by its minimum."""
+    k = len(actions)
+    # row i of the adjacency matrix is dst[i], so it is CSR as it stands
+    dst = np.empty((N, k), dtype=np.int32)
+    ok = np.empty(N, dtype=bool)
+    for lo in range(0, N, _BFS_CHUNK):
+        V = load(lo, min(lo + _BFS_CHUNK, N))
+        ok[lo:lo + len(V)] = ~dead_indices(V.reshape(len(V), -1, s, s)).any(axis=1)
+        for a, act in enumerate(actions):
+            dst[lo:lo + len(V), a] = locate(act(V))
+    graph = csr_matrix((np.ones(N * k, dtype=np.int8), dst.ravel(),
+                        np.arange(0, N * k + 1, k)), shape=(N, N))
+    ncomp, labels = connected_components(graph, directed=False)
+    sizes = np.bincount(labels, minlength=ncomp)
+    firsts = np.full(ncomp, N, dtype=np.int64)
+    np.minimum.at(firsts, labels, np.arange(N))
+    orbit_ok = np.bincount(labels[ok], minlength=ncomp) > 0
+    order = np.argsort(firsts)
+    return zip(firsts[order], sizes[order], orbit_ok[order])
+
+
+def _check_bfs_budget(F, s, N, what, budget) -> None:
+    actions = N * (len(gl.gl_generators(F, s)) + 1)
+    if actions > budget:
+        raise _over_budget(f"{what} BFS needs {actions} actions", budget)
+
+
 # -- congruence orbits of single matrices --
-
-def _matrix_orbit_flags(q, s, orbit_codes):
-    m = s * s
-    mats = linalg.decode_codes(np.asarray(orbit_codes), q, m).reshape(-1, s, s)
-    dead_any = dead_indices(mats[:, None]).any(axis=1)
-    nonzero = np.asarray(orbit_codes) != 0
-    contains = bool((nonzero & ~dead_any).any())
-    rep = mats[0]
-    commut = bool((rep == rep.T).all())
-    return rep, contains, commut
-
 
 def classify_congruence(F, s: int, symmetric_only: bool = False,
                         budget=None) -> ClassReport:
-    """Partition all s x s matrices over F into congruence classes."""
+    """Partition all s x s matrices over F (or the symmetric ones, which
+    congruence keeps symmetric) into congruence classes by generator BFS.
+    A matrix is its own key, so images need no reduction."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     q, m = F.q, s * s
-    total = q ** m
-    if total > _GROUND_LIMIT:
-        raise _over_ground_limit(total, "matrices")
-    budget = resolve_budget(budget)
-    group_order = gl.gl_order(q, s)
-    if group_order * total > budget:
-        raise _over_budget(f"congruence sweep needs {group_order * total} actions", budget)
-    Gmats = gl.enumerate_gl(F, s)
-    P = linalg.kron_batch(F, Gmats)
+    N = q ** (s * (s + 1) // 2) if symmetric_only else q ** m
+    if N > _GROUND_LIMIT:
+        raise _over_ground_limit(N, "matrices")
+    _check_bfs_budget(F, s, N, "congruence", resolve_budget(budget))
 
     if symmetric_only:
-        all_mats = linalg.decode_codes(np.arange(total), q, m).reshape(total, s, s)
-        ground = np.where((all_mats == all_mats.transpose(0, 2, 1)).all(axis=(1, 2)))[0]
+        upper = [i * s + j for i in range(s) for j in range(i, s)]
+        mirror = [j * s + i for i in range(s) for j in range(i, s)]
+        mats = np.zeros((N, m), dtype=np.int64)
+        mats[:, upper] = mats[:, mirror] = linalg.decode_codes(np.arange(N), q, len(upper))
+        ground = np.sort(linalg.encode_rows(mats, q))
     else:
-        ground = np.arange(total)
+        ground = np.arange(N)
 
-    visited = np.zeros(total, dtype=bool)
+    def load(lo, hi):
+        return linalg.decode_codes(ground[lo:hi], q, m)
+
+    def locate(imgs):
+        keys = linalg.encode_rows(imgs, q)
+        return _ground_index(ground, keys) if symmetric_only else keys
+
+    actions = [lambda V, P=P: linalg.linmap_apply(F, V, P)
+               for P in linalg.kron_batch(F, gl.gl_generators(F, s))]
     classes = []
-    covered = 0
-    for code in ground:
-        if visited[code]:
-            continue
-        vec = linalg.decode_codes(np.int64(code), q, m)
-        imgs = linalg.linmap_apply(F, vec, P)
-        orbit = np.unique(linalg.encode_rows(imgs, q))
-        visited[orbit] = True
-        if orbit[0] != code:
-            raise RuntimeError(f"matrix {code} is not the minimum of its orbit")
-        rep, contains, commut = _matrix_orbit_flags(q, s, orbit)
-        classes.append(OrbitClass(rep, len(orbit), contains, commut))
-        covered += len(orbit)
-    if covered != len(ground):
-        raise RuntimeError(f"orbits cover {covered} of {len(ground)} matrices")
+    for idx, size, contains in _bfs_orbits(s, N, load, actions, locate):
+        rep = load(idx, idx + 1).reshape(s, s)
+        classes.append(OrbitClass(rep, int(size), bool(contains),
+                                  bool((rep == rep.T).all())))
     return ClassReport(
         kind="congruence",
         params={
             "p": F.p, "r": F.r, "q": q, "s": s,
             "symmetric_only": symmetric_only,
         },
-        total_objects=len(ground),
+        total_objects=N,
         class_count=len(classes),
-        strategy="sweep",
+        strategy="bfs",
         classes=classes,
     )
 
@@ -263,40 +286,23 @@ def _sweep_subspaces(F, s, t, use_frobenius, rows, codes):
 
 def _bfs_subspaces(F, s, t, use_frobenius, rows, codes):
     q, m = F.q, s * s
-    N = len(rows)
-    gens = gl.gl_generators(F, s)
-    Vt = rows.reshape(N, t, m)
-    srcs, dsts = [], []
-    for P in linalg.kron_batch(F, gens):
-        imgs = linalg.linmap_apply(F, Vt, P)
-        R = _canon_rows(F, imgs, t)
-        keys = linalg.encode_rows(R.reshape(N, t * m), q)
-        srcs.append(np.arange(N))
-        dsts.append(_ground_index(codes, keys))
+    actions = [lambda V, P=P: _canon_rows(F, linalg.linmap_apply(F, V, P), t)
+               for P in linalg.kron_batch(F, gl.gl_generators(F, s))]
     if use_frobenius and F.r > 1:
         # RREF structure survives the entrywise Frobenius, so no re-reduction
-        keys = linalg.encode_rows(F._frob_raw(rows, 1), q)
-        srcs.append(np.arange(N))
-        dsts.append(_ground_index(codes, keys))
-    src = np.concatenate(srcs)
-    dst = np.concatenate(dsts)
-    graph = coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(N, N))
-    ncomp, labels = connected_components(graph, directed=False)
-    sizes = np.bincount(labels, minlength=ncomp)
-    firsts = np.full(ncomp, N, dtype=np.int64)
-    np.minimum.at(firsts, labels, np.arange(N))
+        actions.append(lambda V: F._frob_raw(V, 1))
 
-    arr = rows.reshape(N, t, s, s)
-    dead_any = dead_indices(arr).any(axis=1)
-    orbit_ok = np.zeros(ncomp, dtype=bool)
-    np.logical_or.at(orbit_ok, labels, ~dead_any)
+    def load(lo, hi):
+        return rows[lo:hi].reshape(-1, t, m)
+
+    def locate(R):
+        return _ground_index(codes, linalg.encode_rows(R.reshape(len(R), t * m), q))
 
     out = []
-    for lab in np.argsort(firsts):
-        idx = int(firsts[lab])
-        rep = arr[idx]
+    for idx, size, contains in _bfs_orbits(s, len(rows), load, actions, locate):
+        rep = rows[idx].reshape(t, s, s)
         commut = bool((rep == rep.transpose(0, 2, 1)).all())
-        out.append((idx, int(sizes[lab]), bool(orbit_ok[lab]), commut))
+        out.append((int(idx), int(size), bool(contains), commut))
     return out
 
 
@@ -305,42 +311,33 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
                        budget=None) -> ClassReport:
     """Partition the t-dimensional spaces of s x s matrices over F into
     equivalence classes under congruence twists (and, if use_frobenius,
-    field automorphisms applied entrywise)."""
+    field automorphisms applied entrywise).  ``strategy`` "auto" and "bfs"
+    run the generator BFS, "sweep" the full-group image of each orbit."""
     m = s * s
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     if not 1 <= t <= m:
         raise ValueError(f"t must lie in [1, {m}], got {t}")
-    q = F.q
-    N = gaussian_binomial(m, t, q)
-    budget = resolve_budget(budget)
-    r_factor = F.r if use_frobenius else 1
-    sweep_actions = gl.gl_order(q, s) * r_factor * N
-    # BFS computes N x (generators + 1) images; scalars fix every subspace,
-    # so an orbit has at most |G| r / (q - 1) members and the sweep
-    # computes at least N (q - 1)
-    bfs_per_object = len(gl.gl_generators(F, s)) + 1
-
     if strategy == "auto":
-        strategy = "sweep" if (sweep_actions <= SWEEP_LIMIT and q ** m <= gl.ENUM_LIMIT
-                               and q - 1 < bfs_per_object) else "bfs"
+        strategy = "bfs"
     if strategy not in ("sweep", "bfs"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    q = F.q
+    N = gaussian_binomial(m, t, q)
     if N > _GROUND_LIMIT:
         raise _over_ground_limit(N, "subspaces")
-    if strategy == "sweep" and sweep_actions > budget:
-        raise _over_budget(f"subspace sweep needs {sweep_actions} actions", budget)
+    budget = resolve_budget(budget)
+    if strategy == "bfs":
+        _check_bfs_budget(F, s, N, "subspace", budget)
+        engine = _bfs_subspaces
+    else:
+        sweep_actions = gl.gl_order(q, s) * (F.r if use_frobenius else 1) * N
+        if sweep_actions > budget:
+            raise _over_budget(f"subspace sweep needs {sweep_actions} actions", budget)
+        engine = _sweep_subspaces
 
     rows = subspace_rows(F, s, t)
-    codes = linalg.encode_rows(rows, q)
-
-    if strategy == "sweep":
-        entries = _sweep_subspaces(F, s, t, use_frobenius, rows, codes)
-    else:
-        bfs_actions = len(rows) * bfs_per_object
-        if bfs_actions > budget:
-            raise _over_budget(f"subspace BFS needs {bfs_actions} actions", budget)
-        entries = _bfs_subspaces(F, s, t, use_frobenius, rows, codes)
+    entries = engine(F, s, t, use_frobenius, rows, linalg.encode_rows(rows, q))
 
     classes = []
     for idx, size, contains, commut in entries:
@@ -387,8 +384,7 @@ def orbit_of(F, obj, use_frobenius: bool = True, budget=None,
         frob = False
     m = s * s
     q = F.q
-    gens = gl.gl_generators(F, s)
-    Ps = linalg.kron_batch(F, gens)
+    Ps = linalg.kron_batch(F, gl.gl_generators(F, s))
 
     def canon(batch):
         # batch (B, t*m) -> canonical rows
@@ -396,9 +392,8 @@ def orbit_of(F, obj, use_frobenius: bool = True, budget=None,
             return batch
         return _canon_rows(F, batch.reshape(-1, t, m), t).reshape(-1, t * m)
 
-    start = canon(start[None, :])[0]
-    seen = {int(linalg.encode_rows(start, q)): None}
-    frontier = start[None, :]
+    frontier = canon(start[None, :])
+    seen = linalg.encode_rows(frontier, q)      # sorted keys found so far
     n_actions = 0
     while len(frontier):
         B = len(frontier)
@@ -408,22 +403,17 @@ def orbit_of(F, obj, use_frobenius: bool = True, budget=None,
         ]
         if frob:
             img_list.append(F._frob_raw(frontier, 1))
-        imgs = np.concatenate(img_list)
-        imgs = canon(imgs)
+        imgs = canon(np.concatenate(img_list))
         keys = linalg.encode_rows(imgs, q)
         n_actions += len(keys)
         if n_actions > budget:
             raise _over_budget(f"orbit closure reached {n_actions} actions", budget)
-        fresh_rows = []
-        for row, k in zip(imgs, keys):
-            k = int(k)
-            if k not in seen:
-                seen[k] = None
-                fresh_rows.append(row)
-        frontier = np.array(fresh_rows, dtype=np.int64) if fresh_rows \
-            else np.empty((0, t * m), dtype=np.int64)
-    keys = sorted(seen)
-    rep_row = linalg.decode_codes(np.int64(keys[0]), q, t * m)
+        keys, first = np.unique(keys, return_index=True)
+        pos = np.searchsorted(seen, keys)
+        fresh = seen[np.minimum(pos, len(seen) - 1)] != keys
+        seen = np.insert(seen, pos[fresh], keys[fresh])
+        frontier = imgs[first[fresh]]
+    rep_row = linalg.decode_codes(np.int64(seen[0]), q, t * m)
     if kind == "subspace":
         rep = _make_key(s, t, rep_row)
     else:
@@ -431,6 +421,6 @@ def orbit_of(F, obj, use_frobenius: bool = True, budget=None,
     return OrbitResult(
         kind=kind,
         canonical_rep=rep,
-        orbit_size=len(keys),
-        members=tuple(keys) if include_members else None,
+        orbit_size=len(seen),
+        members=tuple(seen.tolist()) if include_members else None,
     )

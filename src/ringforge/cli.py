@@ -193,9 +193,9 @@ def _checks(scope: str) -> list:
         ("symmetric classes, s=2 over GF(3)",
          "rank classes split by square class, plus the zero class",
          5, lambda: classify_congruence(GF(3), 2, symmetric_only=True).class_count),
-        ("plane classes, s=2 t=2 over GF(2)", "dense orbit sweep",
+        ("plane classes, s=2 t=2 over GF(2)", "generator BFS",
          10, classes(2, 1, 2, 2)),
-        ("plane classes, s=2 t=3 over GF(2)", "dense orbit sweep",
+        ("plane classes, s=2 t=3 over GF(2)", "generator BFS",
          5, classes(2, 1, 2, 3)),
         ("scalar presentation count, r=2 lambda=1", "r * C(r+lambda-1, lambda)",
          4, lambda: count_s1(2, 1)),
@@ -214,17 +214,17 @@ def _checks(scope: str) -> list:
     ]
     if scope == "full":
         rows += [
-            ("plane classes, s=2 t=2 over GF(3)", "dense orbit sweep",
+            ("plane classes, s=2 t=2 over GF(3)", "generator BFS",
              14, classes(3, 1, 2, 2)),
-            ("plane classes, s=2 t=2 over GF(5)", "dense orbit sweep",
+            ("plane classes, s=2 t=2 over GF(5)", "generator BFS",
              20, classes(5, 1, 2, 2)),
-            ("plane classes, s=2 t=2 over GF(7)", "dense orbit sweep",
+            ("plane classes, s=2 t=2 over GF(7)", "generator BFS",
              26, classes(7, 1, 2, 2)),
-            ("plane classes, s=2 t=3 over GF(3)", "dense orbit sweep",
+            ("plane classes, s=2 t=3 over GF(3)", "generator BFS",
              7, classes(3, 1, 2, 3)),
-            ("plane classes, s=2 t=3 over GF(5)", "dense orbit sweep",
+            ("plane classes, s=2 t=3 over GF(5)", "generator BFS",
              9, classes(5, 1, 2, 3)),
-            ("plane classes, s=3 t=2 over GF(2)", "dense orbit sweep",
+            ("plane classes, s=3 t=2 over GF(2)", "generator BFS",
              322, classes(2, 1, 3, 2)),
             ("commutative-capable planes, s=3 t=2 over GF(2)",
              "all-symmetric classes; sweep, set partition, and Burnside agree",

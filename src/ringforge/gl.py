@@ -97,18 +97,29 @@ def enumerate_gl(F, s: int) -> np.ndarray:
 
 
 def gl_generators(F, s: int) -> np.ndarray:
-    """A small generating set: unit transvections plus one diagonal scaling."""
-    gens = []
-    for i in range(s):
-        for j in range(s):
-            if i != j:
-                T = linalg.identity(s)
-                T[i, j] = 1
-                gens.append(T)
-    if F.q > 2:
-        D = linalg.identity(s)
-        D[0, 0] = F.multiplicative_generator()
-        gens.append(D)
-    if not gens:
-        gens.append(linalg.identity(s))
+    """Three matrices that generate GL(s, F), two over GF(2).
+
+    x = I + E_12 (the unit transvection x_12(1)), the cyclic shift Z with
+    e_i Z = e_(i+1) (indices mod s), and D = diag(w, 1, ..., 1) with w the
+    multiplicative generator.  D is left out over GF(2), where it is I;
+    for s = 1 the set is D alone (I over GF(2)).  Proof for s >= 2:
+
+    * D x_12(a) D^-1 = x_12(w a), and x_12(a) x_12(b) = x_12(a + b).  The
+      powers of w span F additively, so products give x_12(a) for all a.
+    * Conjugating by Z moves x_ij(a) to x_(i+1)(j+1)(a), so every
+      x_(i,i+1)(a), indices cyclic, is a product of generators (at s = 2
+      these are x_12 and x_21).
+    * The commutators [x_ij(a), x_jk(b)] = x_ik(ab) (i, j, k distinct)
+      then give every elementary transvection x_ij(a), i != j, and these
+      generate SL(s, F).
+    * det D = w generates F^*, so SL(s, F) and D generate GL(s, F).
+    """
+    D = linalg.identity(s)
+    D[0, 0] = F.multiplicative_generator()
+    if s == 1:
+        return D[None]
+    x = linalg.identity(s)
+    x[0, 1] = 1
+    Z = np.roll(linalg.identity(s), 1, axis=1)
+    gens = [x, Z] if F.q == 2 else [x, Z, D]
     return np.array(gens, dtype=np.int64)

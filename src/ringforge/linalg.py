@@ -19,7 +19,10 @@ and GF(13) at s = 2.
 ``rref_batch`` brings a stack of bases (N, t, m) to reduced row echelon
 form by row-pivot Gauss-Jordan through the ``GF`` raw ops, one step per
 row of the stack, the same code for every field.  Each step works on
-whole (N, m) rows, so its numpy overhead does not grow with m.
+whole (N, m) rows, so its numpy overhead does not grow with m.  Prime
+fields are eliminated in the narrow signed dtype of ``_elim_dtype``
+(int8 up to p = 11, int16 up to p = 181), so each step moves less
+memory; the result is int64 like every other array here.
 """
 
 from __future__ import annotations
@@ -168,6 +171,19 @@ def _lowered_dtype(F, m: int):
     raise ValueError(f"a length {m * F.r} dot product over Z_{F.p} overflows uint64")
 
 
+def _elim_dtype(F):
+    """Dtype ``rref_batch`` eliminates in: for a prime field the smallest
+    signed dtype holding a - f*b before its reduction mod p, which needs
+    (p-1)^2 + p; int64 for r > 1, whose raw ops gather from int64 tables."""
+    if F.r > 1:
+        return np.dtype(np.int64)
+    bound = (F.p - 1) ** 2 + F.p
+    for dt in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(dt).max:
+            return np.dtype(dt)
+    return np.dtype(np.int64)
+
+
 def _mul_table(F, m: int) -> np.ndarray:
     # M(c) for every code c, (q, r, r), in the dtype of an m-row lowered map
     return F._mul_matrices(np.arange(F.q), _lowered_dtype(F, m))
@@ -251,9 +267,12 @@ def rref_batch(F, M):
     row.  An item whose remaining rows are all zero is left unchanged by
     the step (its pivot row is zero), and ``ranks`` counts the steps that
     found a pivot.  RREF is unique, so the result equals ``rref`` item by
-    item.
+    item.  The stack is eliminated in ``_elim_dtype(F)`` (int8 up to
+    p = 11, int16 up to p = 181) and returned as int64.
     """
-    R = np.array(M, dtype=np.int64)
+    dt = _elim_dtype(F)
+    R = np.array(M, dtype=dt)
+    inv = F._inv.astype(dt)
     N, t, m = R.shape
     ranks = np.zeros(N, dtype=np.int64)
     items = np.arange(N)
@@ -267,14 +286,14 @@ def rref_batch(F, M):
         k += i
         sw = np.flatnonzero(k != i)     # a full gather would copy the stack
         R[sw, i], R[sw, k[sw]] = R[sw, k[sw]], R[sw, i]
-        piv = F._mul_raw(R[:, i], F._inv[R[items, i, col]][:, None])
+        piv = F._mul_raw(R[:, i], inv[R[items, i, col]][:, None])
         R[:, i] = piv
         for j in range(t):
             if j != i:
                 f = R[items, j, col]
                 R[:, j] = F._sub_mul_raw(R[:, j], f[:, None], piv)
         ranks += live
-    return R, ranks
+    return R.astype(np.int64, copy=False), ranks
 
 
 def encode_rows(rows, q: int):

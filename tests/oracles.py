@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive and, apart from the determinants
 of ``gl_det_filter``, the ring products and scalar ranks of
-``brute_structure`` and the kernels of ``iso_exhaustive``, independent
-of the package: plain itertools enumeration, float determinants (exact
+``brute_structure`` and the kernels of ``iso_exhaustive`` and
+``congruence_sweep``, independent of the package: plain itertools enumeration, float determinants (exact
 for the sizes and moduli involved), and dictionary-based orbit
 bookkeeping.  ``iso_exhaustive`` is the whole-group isomorphism search
 that ``iso_test`` replaced: it shares no search order, prefilter or
-chunking with it.  Slow is fine; these only run on small parameters.
+chunking with it.  ``congruence_sweep`` is the whole-group congruence
+classification that the generator BFS of ``classify_congruence``
+replaced.  Slow is fine; these only run on small parameters.
 """
 
 import itertools
@@ -102,6 +104,49 @@ def raw_congruence_partition(p: int, s: int, symmetric_only: bool = False):
         orbits.append(orb)
         seen |= orb
     return sorted(orbits, key=min)
+
+
+def congruence_sweep(F, s: int, symmetric_only: bool = False) -> dict:
+    """``ClassReport.to_dict()`` of the congruence classes of s x s
+    matrices over F, without its strategy field, by the dense sweep: the
+    full-group image of each undiscovered matrix in ascending code order,
+    so every orbit is found from its minimum."""
+    from ringforge import gl, linalg
+    from ringforge.matspace import dead_indices
+
+    q, m = F.q, s * s
+    total = q ** m
+    P = linalg.kron_batch(F, gl.enumerate_gl(F, s))
+    all_mats = linalg.decode_codes(np.arange(total), q, m).reshape(total, s, s)
+    if symmetric_only:
+        ground = np.flatnonzero((all_mats == all_mats.transpose(0, 2, 1)).all(axis=(1, 2)))
+    else:
+        ground = np.arange(total)
+    visited = np.zeros(total, dtype=bool)
+    classes = []
+    for code in ground:
+        if visited[code]:
+            continue
+        imgs = linalg.linmap_apply(F, all_mats[code].reshape(m), P)
+        orbit = np.unique(linalg.encode_rows(imgs, q))
+        visited[orbit] = True
+        assert orbit[0] == code, "a matrix is not the minimum of its orbit"
+        mats = all_mats[orbit]
+        rep = mats[0]
+        classes.append({
+            "rep": rep.tolist(),
+            "orbit_size": len(orbit),
+            "contains_compatible": bool((~dead_indices(mats[:, None]).any(axis=1)).any()),
+            "commutative_capable": bool((rep == rep.T).all()),
+        })
+    assert sum(c["orbit_size"] for c in classes) == len(ground)
+    return {
+        "kind": "congruence",
+        "params": {"p": F.p, "r": F.r, "q": q, "s": s, "symmetric_only": symmetric_only},
+        "total_objects": len(ground),
+        "class_count": len(classes),
+        "classes": classes,
+    }
 
 
 def raw_line_class_count(p: int, s: int) -> int:

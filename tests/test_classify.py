@@ -16,6 +16,7 @@ from ringforge import (
     orbit_of,
     resolve_budget,
     subspace_key,
+    subspace_rows,
 )
 from ringforge import classify as classify_module
 from ringforge import gl as gl_module
@@ -23,7 +24,8 @@ from ringforge import linalg as la
 from ringforge.classify import DEFAULT_BUDGET, _canon_rows
 from ringforge.gl import enumerate_gl, gl_order
 
-from oracles import raw_congruence_partition, raw_line_class_count
+from oracles import (congruence_sweep, raw_congruence_orbit,
+                     raw_congruence_partition, raw_line_class_count)
 
 
 # -- congruence classes ----------------------------------------------------
@@ -79,6 +81,23 @@ def test_congruence_symmetric_only_gf2(classified):
     rep, _ = classified("congruence", 2, 1, 2, symmetric_only=True)
     assert rep.class_count == 4
     assert sum(c.orbit_size for c in rep.classes) == 8
+
+
+@pytest.mark.parametrize("symmetric_only", [False, True])
+@pytest.mark.parametrize("p,r,s", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2),
+                                   (2, 1, 3), (3, 1, 3), (2, 2, 3)])
+def test_congruence_matches_sweep_oracle(p, r, s, symmetric_only, classified):
+    rep, _ = classified("congruence", p, r, s, symmetric_only=symmetric_only)
+    got = rep.to_dict()
+    assert got.pop("strategy") == "bfs"
+    assert got == congruence_sweep(GF(p, r), s, symmetric_only)
+
+
+def test_congruence_gf5_s3_within_default_budget():
+    # N (generators + 1) = 5^9 * 4 actions; the old sweep needed 2.9 * 10^12
+    rep = classify_congruence(GF(5), 3)
+    assert rep.class_count == 31 == congruence_class_count(5, 3)
+    assert rep.total_objects == 5 ** 9
 
 
 def test_congruence_s1():
@@ -188,12 +207,30 @@ def test_auto_picks_bfs_when_scalars_outweigh_generators(p, r):
     assert classify_subspaces(GF(p, r), 2, 2).strategy == "bfs"
 
 
-def test_auto_keeps_sweep_over_gf2(classified):
+def test_auto_runs_bfs_and_checks_budget_first(classified, monkeypatch):
     rep, _ = classified("subspaces", 2, 1, 3, 2)
-    assert rep.strategy == "sweep"
-    # the sweep's budget check runs before the ground set is built
-    with pytest.raises(BudgetExceededError, match="subspace sweep"):
+    assert rep.strategy == "bfs"
+
+    def no_ground_set(*args, **kwargs):
+        raise AssertionError("ground set built before the budget check")
+
+    # the BFS budget check runs before the 788k-row ground set is built
+    monkeypatch.setattr(classify_module, "subspace_rows", no_ground_set)
+    with pytest.raises(BudgetExceededError, match="subspace BFS needs"):
         classify_subspaces(GF(2), 3, 3, budget=1)
+
+
+# blocks of 7 objects put block edges inside orbits and leave a ragged last block
+@pytest.mark.parametrize("call", [
+    lambda: classify_subspaces(GF(3), 2, 2),
+    lambda: classify_subspaces(GF(2, 2), 2, 1),
+    lambda: classify_congruence(GF(3), 2),
+    lambda: classify_congruence(GF(2, 2), 2, symmetric_only=True),
+])
+def test_bfs_block_size_does_not_change_reports(call, monkeypatch):
+    whole = call().to_dict()
+    monkeypatch.setattr(classify_module, "_BFS_CHUNK", 7)
+    assert call().to_dict() == whole
 
 
 def test_canon_rows_rejects_rank_loss():
@@ -223,7 +260,7 @@ BUDGET_KNOBS = re.escape("(change it with budget=, --budget or RINGFORGE_BUDGET)
 
 def test_budget_errors_name_the_knobs():
     with pytest.raises(BudgetExceededError,
-                       match="congruence sweep needs 3888 actions, over the action "
+                       match="congruence BFS needs 324 actions, over the action "
                              "budget of 50 " + BUDGET_KNOBS):
         classify_congruence(GF(3), 2, budget=50)
     with pytest.raises(BudgetExceededError,
@@ -309,6 +346,33 @@ def test_orbit_of_members():
     res = orbit_of(F, np.array([[1, 0], [0, 1]]), include_members=True)
     assert len(res.members) == res.orbit_size
     assert res.kind == "congruence"
+
+
+@pytest.mark.parametrize("p,s,seed", [(2, 2, 0), (2, 3, 1), (3, 2, 2), (3, 3, 3),
+                                       (5, 2, 4), (7, 2, 5)])
+def test_orbit_of_members_match_raw_orbit(p, s, seed):
+    A = np.random.default_rng(seed).integers(0, p, size=(s, s))
+    res = orbit_of(GF(p), A, include_members=True)
+    want = sorted(int(la.encode_rows(np.array(M), p)) for M in raw_congruence_orbit(p, A))
+    assert list(res.members) == want
+    assert res.orbit_size == len(want)
+    assert np.array_equal(res.canonical_rep, la.decode_codes(want[0], p, s * s).reshape(s, s))
+
+
+@pytest.mark.parametrize("p,r,s,t", [(2, 1, 3, 2), (3, 1, 2, 2), (2, 2, 2, 1),
+                                     (2, 2, 2, 2), (5, 1, 2, 3)])
+def test_orbit_of_subspace_matches_classes(p, r, s, t, classified):
+    F = GF(p, r)
+    rep, _ = classified("subspaces", p, r, s, t)
+    sizes = {c.rep.flat: c.orbit_size for c in rep.classes}
+    rows = subspace_rows(F, s, t)
+    codes = la.encode_rows(rows, F.q)
+    for i in np.random.default_rng(p * 100 + s * 10 + t).integers(0, len(rows), 6):
+        key = subspace_key(F, rows[i].reshape(t, s, s))
+        res = orbit_of(F, key, include_members=True)
+        assert sizes[res.canonical_rep.flat] == res.orbit_size == len(res.members)
+        assert int(codes[i]) in res.members
+        assert np.isin(np.array(res.members), codes).all()
 
 
 def test_orbit_of_rejects_non_square():

@@ -68,6 +68,26 @@ def test_rref_batch_matches_scalar(q, r):
             assert (ranks[::3] < 3).all() and (ranks[1::3] < 3).all()
 
 
+# the elimination dtype widens after p = 11, 181 and 46337: the largest
+# intermediate value is (p - 1)^2 + p before a reduction mod p
+@pytest.mark.parametrize("p,dtype", [(2, np.int8), (11, np.int8), (13, np.int16),
+                                     (181, np.int16), (191, np.int32),
+                                     (65521, np.int64)])
+def test_rref_batch_narrow_dtype_edges(p, dtype):
+    F = GF(p)
+    assert la._elim_dtype(F) == dtype
+    rng = np.random.default_rng(p)
+    stack = rng.integers(0, p, size=(50, 3, 6), dtype=np.int64)
+    stack[::5] = p - 1                  # every entry at its largest code
+    stack[1::5, 2] = 0
+    R, ranks = la.rref_batch(F, stack)
+    assert R.dtype == np.int64 and ranks.dtype == np.int64
+    for i in range(len(stack)):
+        Ri, piv = la.rref(F, stack[i])
+        assert np.array_equal(R[i], Ri)
+        assert ranks[i] == len(piv)
+
+
 # -- inverse, det, solve ---------------------------------------------------
 
 @pytest.mark.parametrize("q,r", [(2, 1), (3, 1), (5, 1), (2, 2)])
@@ -282,6 +302,42 @@ def test_det_batch_matches_scalar():
     d = det_batch(F, stack)
     for i in range(40):
         assert d[i] == la.det(F, stack[i])
+
+
+def _closure_size(F, gens):
+    """Size of the closure of I under right multiplication by gens, kept
+    as sorted integer keys."""
+    s = gens.shape[-1]
+    frontier = la.identity(s)[None]
+    seen = la.encode_rows(frontier.reshape(1, -1), F.q)
+    while len(frontier):
+        imgs = np.concatenate([la.mat_mul(F, frontier, g) for g in gens])
+        keys, first = np.unique(la.encode_rows(imgs.reshape(len(imgs), -1), F.q),
+                                return_index=True)
+        pos = np.searchsorted(seen, keys)
+        fresh = seen[np.minimum(pos, len(seen) - 1)] != keys
+        seen = np.insert(seen, pos[fresh], keys[fresh])
+        frontier = imgs[first[fresh]]
+    return len(seen)
+
+
+GENERATOR_CELLS = (
+    [(q, 1) for q in (2, 3, 4, 5, 9)]
+    + [(q, 2) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)]
+    + [(q, 3) for q in (2, 3, 4, 5)]
+    + [(2, 4)]
+)
+
+
+@pytest.mark.parametrize("q,s", GENERATOR_CELLS)
+def test_generators_close_to_gl_order(q, s):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    r = round(np.log(q) / np.log(p))
+    F = GF(p, r)
+    gens = gl_generators(F, s)
+    if s >= 2:
+        assert len(gens) == (2 if q == 2 else 3)
+    assert _closure_size(F, gens) == gl_order(q, s)
 
 
 @pytest.mark.parametrize("q,r,s", [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 2)])

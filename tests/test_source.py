@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -15,3 +16,12 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+# a name dropped from a module must not stay behind in its __all__
+def test_all_names_exist():
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"ringforge.{path.stem}"
+                                         if path.stem != "__init__" else "ringforge")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, f"{path.name} exports missing names {missing}"
