@@ -6,7 +6,8 @@ t-dimensional matrix spaces (S -> span{C^T A^sigma C : A in S}, with the
 field automorphism twist optional).  Both run one engine, generator BFS:
 every object of the ground set is moved by each of the two or three
 generators of ``gl.gl_generators`` (and by the Frobenius), and the orbits
-are the connected components of the resulting graph.  A subspace sweep,
+are the connected components of the resulting graph, found by a numpy
+union-find over its image table (``_orbit_roots``).  A subspace sweep,
 the full-group image of each undiscovered orbit, remains as the explicit
 ``strategy="sweep"``.  Everything is deterministic: objects are held in
 ascending key order and every orbit is named by its minimum key.
@@ -18,8 +19,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import gl, linalg
 from .counting import gaussian_binomial
@@ -129,6 +128,40 @@ class OrbitResult:
 
 # -- the generator-BFS orbit engine --
 
+def _orbit_roots(dst):
+    """Root of every node of the graph joining node i to dst[i, a] for each
+    column a of the (N, g) image table: the minimum index of its connected
+    component.
+
+    Hook and shortcut (Shiloach-Vishkin): for each column, the larger
+    parent of every edge is hooked under the smaller with
+    ``np.minimum.at``; then pointers jump (parent = parent[parent]) until
+    every node points at a root; passes repeat until one hooks nothing.
+    Every pointer goes to a smaller index and every hook joins two nodes
+    of one component, so when no edge is left between two roots each
+    component has one root, its minimum.  The sum of the parents falls in
+    every pass that hooks, so the loop ends.
+    """
+    N = len(dst)
+    parent = np.arange(N, dtype=dst.dtype)
+    hooked = True
+    while hooked:
+        hooked = False
+        for a in range(dst.shape[1]):
+            other = parent[dst[:, a]]
+            cross = np.flatnonzero(parent != other)
+            if len(cross):
+                u, v = parent[cross], other[cross]
+                np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
+                hooked = True
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    return parent
+
+
 def _bfs_orbits(s, N, load, actions, locate):
     """Orbits of the N ground objects as connected components of the graph
     joining each object to the ground index of its image under each
@@ -136,24 +169,18 @@ def _bfs_orbits(s, N, load, actions, locate):
     stack of the whole ground set is held.  Returns an iterator of (first
     index, size, whether a member has no dead index), ascending by first
     index, so every orbit is named by its minimum."""
-    k = len(actions)
-    # row i of the adjacency matrix is dst[i], so it is CSR as it stands
-    dst = np.empty((N, k), dtype=np.int32)
+    dst = np.empty((N, len(actions)), dtype=np.int32)
     ok = np.empty(N, dtype=bool)
     for lo in range(0, N, _BFS_CHUNK):
         V = load(lo, min(lo + _BFS_CHUNK, N))
         ok[lo:lo + len(V)] = ~dead_indices(V.reshape(len(V), -1, s, s)).any(axis=1)
         for a, act in enumerate(actions):
             dst[lo:lo + len(V), a] = locate(act(V))
-    graph = csr_matrix((np.ones(N * k, dtype=np.int8), dst.ravel(),
-                        np.arange(0, N * k + 1, k)), shape=(N, N))
-    ncomp, labels = connected_components(graph, directed=False)
-    sizes = np.bincount(labels, minlength=ncomp)
-    firsts = np.full(ncomp, N, dtype=np.int64)
-    np.minimum.at(firsts, labels, np.arange(N))
-    orbit_ok = np.bincount(labels[ok], minlength=ncomp) > 0
-    order = np.argsort(firsts)
-    return zip(firsts[order], sizes[order], orbit_ok[order])
+    parent = _orbit_roots(dst)
+    firsts = np.flatnonzero(parent == np.arange(N))
+    sizes = np.bincount(parent, minlength=N)[firsts]
+    orbit_ok = np.bincount(parent[ok], minlength=N)[firsts] > 0
+    return zip(firsts, sizes, orbit_ok)
 
 
 def _check_bfs_budget(F, s, N, what, budget) -> None:
@@ -394,6 +421,7 @@ def orbit_of(F, obj, use_frobenius: bool = True, budget=None,
 
     frontier = canon(start[None, :])
     seen = linalg.encode_rows(frontier, q)      # sorted keys found so far
+    rep_row = frontier[0]                       # the row of seen[0]
     n_actions = 0
     while len(frontier):
         B = len(frontier)
@@ -411,9 +439,11 @@ def orbit_of(F, obj, use_frobenius: bool = True, budget=None,
         keys, first = np.unique(keys, return_index=True)
         pos = np.searchsorted(seen, keys)
         fresh = seen[np.minimum(pos, len(seen) - 1)] != keys
+        if fresh.any() and pos[fresh][0] == 0:
+            # the least fresh key goes before every key seen: a new minimum
+            rep_row = imgs[first[fresh][0]]
         seen = np.insert(seen, pos[fresh], keys[fresh])
         frontier = imgs[first[fresh]]
-    rep_row = linalg.decode_codes(np.int64(seen[0]), q, t * m)
     if kind == "subspace":
         rep = _make_key(s, t, rep_row)
     else:

@@ -37,6 +37,8 @@ __all__ = [
 
 # group elements lowered per step of kron_batch
 _KRON_CHUNK = 8192
+# rows widened to int64 per step of encode_rows
+_ENCODE_CHUNK = 1 << 16
 
 
 def mat(F, rows) -> np.ndarray:
@@ -237,9 +239,11 @@ def linmap_apply(F, V, L) -> np.ndarray:
     """Broadcasted V @ P over F with P lowered (L = lower(F, P)):
     (..., m) codes x (G, m*r, m2*r) -> (G, ..., m2) codes.
 
-    One integer matmul mod p on the digits of V, in L's dtype.
+    One integer matmul mod p on the digits of V, in L's dtype.  V may be
+    held in any integer dtype (the ground set is narrow); the output is
+    int64.
     """
-    V = np.asarray(V, dtype=np.int64)
+    V = np.asarray(V)
     p, r = F.p, F.r
     m = V.shape[-1]
     if L.shape[-2] != m * r:
@@ -297,12 +301,23 @@ def rref_batch(F, M):
 
 
 def encode_rows(rows, q: int):
-    """Row vectors of codes -> integer keys, first entry most significant."""
-    rows = np.asarray(rows, dtype=np.int64)
+    """Row vectors of codes -> integer keys, first entry most significant.
+
+    Keys fit int64 while m*log2(q) <= 62 and are python ints beyond.  Rows
+    in a narrow dtype are widened to int64 ``_ENCODE_CHUNK`` rows at a
+    time, so no int64 copy of the whole input is made.
+    """
+    rows = np.asarray(rows)
     m = rows.shape[-1]
     if m * np.log2(q) <= 62:
         pows = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        return rows @ pows
+        flat = rows.reshape(-1, m)
+        out = np.empty(len(flat), dtype=np.int64)
+        for lo in range(0, len(flat), _ENCODE_CHUNK):
+            block = flat[lo:lo + _ENCODE_CHUNK]
+            out[lo:lo + len(block)] = block.astype(np.int64, copy=False) @ pows
+        # [()] turns the 0-d result of a single row into a scalar
+        return out.reshape(rows.shape[:-1])[()]
     flat = rows.reshape(-1, m)
     out = np.empty(flat.shape[0], dtype=object)
     for i, row in enumerate(flat):
@@ -313,11 +328,12 @@ def encode_rows(rows, q: int):
     return out.reshape(rows.shape[:-1])
 
 
-def decode_codes(codes, q: int, m: int) -> np.ndarray:
-    """Inverse of encode_rows for int64 keys."""
+def decode_codes(codes, q: int, m: int, dtype=np.int64) -> np.ndarray:
+    """Inverse of encode_rows for int64 keys, written in ``dtype``, which
+    must hold q - 1 (``np.min_scalar_type(q - 1)`` is the narrowest)."""
     codes = np.asarray(codes)
-    out = np.empty(codes.shape + (m,), dtype=np.int64)
-    rem = codes.astype(np.int64).copy()
+    out = np.empty(codes.shape + (m,), dtype=dtype)
+    rem = codes.astype(np.int64)
     for j in range(m - 1, -1, -1):
         out[..., j] = rem % q
         rem //= q

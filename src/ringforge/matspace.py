@@ -85,7 +85,8 @@ def subspace_key(F, mats) -> SubspaceKey:
 
 def subspace_rows(F, s: int, t: int) -> np.ndarray:
     """All t-dimensional subspaces as flattened RREF bases (N, t*s*s),
-    sorted ascending by key."""
+    sorted ascending by key, in the narrowest unsigned dtype that holds
+    the codes of F: uint8 up to q = 256, uint16 up to q = 2^16."""
     m = s * s
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
@@ -93,14 +94,15 @@ def subspace_rows(F, s: int, t: int) -> np.ndarray:
         raise ValueError(f"t must lie in [1, {m}], got {t}")
     q = F.q
     if t == 1:
+        dt = np.min_scalar_type(q - 1)
         # leading position l descending gives ascending keys directly
         blocks = []
         for l in range(m - 1, -1, -1):
             tail = m - 1 - l
-            block = np.zeros((q ** tail, m), dtype=np.int64)
+            block = np.zeros((q ** tail, m), dtype=dt)
             block[:, l] = 1
             if tail:
-                block[:, l + 1:] = linalg.decode_codes(np.arange(q ** tail), q, tail)
+                block[:, l + 1:] = linalg.decode_codes(np.arange(q ** tail), q, tail, dt)
             blocks.append(block)
         return np.concatenate(blocks)
     # the block list is freed before the sort copies arr
@@ -125,9 +127,10 @@ def _pivot_block(q, t, m, pivots) -> np.ndarray:
         if j not in pivots
     ], dtype=np.int64).reshape(-1, 2)
     f = len(free)
-    block = np.zeros((q ** f, t, m), dtype=np.int64)
+    dt = np.min_scalar_type(q - 1)
+    block = np.zeros((q ** f, t, m), dtype=dt)
     block[:, np.arange(t), pivots] = 1
-    block[:, free[:, 0], free[:, 1]] = linalg.decode_codes(np.arange(q ** f), q, f)
+    block[:, free[:, 0], free[:, 1]] = linalg.decode_codes(np.arange(q ** f), q, f, dt)
     return block.reshape(q ** f, t * m)
 
 

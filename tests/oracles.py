@@ -9,7 +9,9 @@ bookkeeping.  ``iso_exhaustive`` is the whole-group isomorphism search
 that ``iso_test`` replaced: it shares no search order, prefilter or
 chunking with it.  ``congruence_sweep`` is the whole-group congruence
 classification that the generator BFS of ``classify_congruence``
-replaced.  Slow is fine; these only run on small parameters.
+replaced.  ``table_components`` labels the components of a BFS image
+table by a scalar graph search, not the package's union-find.  Slow is
+fine; these only run on small parameters.
 """
 
 import itertools
@@ -147,6 +149,31 @@ def congruence_sweep(F, s: int, symmetric_only: bool = False) -> dict:
         "class_count": len(classes),
         "classes": classes,
     }
+
+
+def table_components(dst) -> np.ndarray:
+    """Component of every node of the undirected graph that joins node i
+    to dst[i, a] for each column a of an (N, g) image table, named by its
+    minimum node: a scalar search over adjacency lists, started from each
+    unlabelled node in ascending order."""
+    N = len(dst)
+    adj = [[] for _ in range(N)]
+    for i, row in enumerate(dst.tolist()):
+        for j in row:
+            adj[i].append(j)
+            adj[j].append(i)
+    label = [-1] * N
+    for start in range(N):
+        if label[start] >= 0:
+            continue
+        label[start] = start
+        stack = [start]
+        while stack:
+            for v in adj[stack.pop()]:
+                if label[v] < 0:
+                    label[v] = start
+                    stack.append(v)
+    return np.array(label)
 
 
 def raw_line_class_count(p: int, s: int) -> int:

@@ -21,11 +21,12 @@ from ringforge import (
 from ringforge import classify as classify_module
 from ringforge import gl as gl_module
 from ringforge import linalg as la
-from ringforge.classify import DEFAULT_BUDGET, _canon_rows
+from ringforge.classify import DEFAULT_BUDGET, _bfs_orbits, _canon_rows, _orbit_roots
 from ringforge.gl import enumerate_gl, gl_order
 
 from oracles import (congruence_sweep, raw_congruence_orbit,
-                     raw_congruence_partition, raw_line_class_count)
+                     raw_congruence_partition, raw_line_class_count,
+                     table_components)
 
 
 # -- congruence classes ----------------------------------------------------
@@ -233,6 +234,75 @@ def test_bfs_block_size_does_not_change_reports(call, monkeypatch):
     assert call().to_dict() == whole
 
 
+# -- orbit components of the BFS image table --
+
+def _path_table(rng, n):
+    """A path through n nodes in random order as a one-column image table;
+    its last node maps to itself."""
+    order = rng.permutation(n).astype(np.int32)
+    dst = np.empty((n, 1), dtype=np.int32)
+    dst[order[:-1], 0] = order[1:]
+    dst[order[-1], 0] = order[-1]
+    return dst
+
+
+def _image_tables():
+    rng = np.random.default_rng(9)
+    tables = {"path": _path_table(rng, 3000),
+              "two paths": np.hstack([_path_table(rng, 2000), _path_table(rng, 2000)])}
+    # self-loops everywhere, isolated nodes, duplicate and reversed edges
+    loops = np.tile(np.arange(40, dtype=np.int32)[:, None], (1, 3))
+    loops[5] = [9, 9, 5]
+    loops[9] = [5, 9, 5]
+    loops[30, 1:] = [2, 39]
+    tables["loops and duplicates"] = loops
+    tables["one node"] = np.zeros((1, 2), dtype=np.int32)
+    tables["random sparse"] = rng.integers(0, 600, size=(600, 2)).astype(np.int32)
+    return tables
+
+
+IMAGE_TABLES = _image_tables()
+
+
+@pytest.mark.parametrize("name", IMAGE_TABLES)
+def test_orbit_roots_match_component_oracle(name):
+    dst = IMAGE_TABLES[name]
+    assert np.array_equal(_orbit_roots(dst), table_components(dst))
+
+
+@pytest.mark.parametrize("name", IMAGE_TABLES)
+def test_bfs_orbits_match_component_oracle(name, monkeypatch):
+    dst = IMAGE_TABLES[name]
+    monkeypatch.setattr(classify_module, "_BFS_CHUNK", 64)
+    firsts, sizes = np.unique(table_components(dst), return_counts=True)
+    # node i is loaded as the 1 x 1 matrix [i], so node 0 alone has a dead index
+    actions = [lambda V, a=a: dst[V[:, 0], a] for a in range(dst.shape[1])]
+    got = _bfs_orbits(1, len(dst), lambda lo, hi: np.arange(lo, hi)[:, None],
+                      actions, lambda keys: keys)
+    assert [(int(i), int(n), bool(ok)) for i, n, ok in got] == [
+        (int(i), int(n), bool(i > 0 or n > 1)) for i, n in zip(firsts, sizes)]
+
+
+def test_orbit_roots_on_a_real_image_table(monkeypatch):
+    tables = []
+
+    def keep(dst):
+        tables.append(dst.copy())
+        return _orbit_roots(dst)
+
+    monkeypatch.setattr(classify_module, "_orbit_roots", keep)
+    F = GF(3)
+    rep = classify_subspaces(F, 2, 2)
+    (dst,) = tables
+    assert dst.shape == (gaussian_binomial(4, 2, 3), len(gl_module.gl_generators(F, 2)))
+    label = table_components(dst)
+    assert np.array_equal(_orbit_roots(dst), label)
+    firsts, sizes = np.unique(label, return_counts=True)
+    rows = subspace_rows(F, 2, 2)
+    assert [c.rep.flat for c in rep.classes] == [tuple(int(x) for x in rows[i]) for i in firsts]
+    assert [c.orbit_size for c in rep.classes] == sizes.tolist()
+
+
 def test_canon_rows_rejects_rank_loss():
     F = GF(3)
     stack = np.array([[[1, 0, 0, 0], [0, 1, 0, 0]],
@@ -373,6 +443,22 @@ def test_orbit_of_subspace_matches_classes(p, r, s, t, classified):
         assert sizes[res.canonical_rep.flat] == res.orbit_size == len(res.members)
         assert int(codes[i]) in res.members
         assert np.isin(np.array(res.members), codes).all()
+
+
+def test_orbit_of_keys_wider_than_int64(classified):
+    # 8 x 9 entries over GF(2) make 72-bit keys, which encode_rows returns
+    # as python ints
+    F = GF(2)
+    rep, _ = classified("subspaces", 2, 1, 3, 8)
+    assert rep.class_count == 11
+    sizes = {c.rep.flat: c.orbit_size for c in rep.classes}
+    for c in rep.classes:
+        res = orbit_of(F, c.rep)
+        assert res.canonical_rep == c.rep and res.orbit_size == c.orbit_size
+    rows = subspace_rows(F, 3, 8)
+    for i in np.random.default_rng(8).integers(0, len(rows), 12):
+        res = orbit_of(F, subspace_key(F, rows[i].reshape(8, 3, 3)))
+        assert sizes[res.canonical_rep.flat] == res.orbit_size
 
 
 def test_orbit_of_rejects_non_square():

@@ -231,6 +231,26 @@ def test_encode_decode_round_trip():
     assert np.array_equal(la.decode_codes(codes, 3, 5), rows)
 
 
+@pytest.mark.parametrize("p,r", [(17, 1), (2, 4), (251, 1)])
+def test_narrow_codes_match_int64(p, r, monkeypatch):
+    # narrow codes decode, encode (across a block boundary) and map
+    # exactly as int64 ones do
+    monkeypatch.setattr(la, "_ENCODE_CHUNK", 7)
+    F = GF(p, r)
+    rng = np.random.default_rng(p + r)
+    codes = rng.integers(0, F.q ** 3, size=50)
+    codes[0] = F.q ** 3 - 1
+    wide = la.decode_codes(codes, F.q, 3)
+    narrow = la.decode_codes(codes, F.q, 3, np.min_scalar_type(F.q - 1))
+    assert narrow.dtype == np.min_scalar_type(F.q - 1)
+    assert np.array_equal(narrow, wide)
+    assert np.array_equal(la.encode_rows(narrow, F.q), codes)
+    assert la.encode_rows(narrow[0], F.q) == codes[0]
+    L = la.lower(F, rng.integers(0, F.q, size=(2, 3, 4)))
+    out = la.linmap_apply(F, narrow, L)
+    assert out.dtype == np.int64 and np.array_equal(out, la.linmap_apply(F, wide, L))
+
+
 def test_encode_is_msf_base_q():
     # first coordinate is the most significant digit
     assert la.encode_rows(np.array([[1, 0, 0]]), 5)[0] == 25

@@ -136,7 +136,16 @@ def test_enumerate_counts(q, s, t):
 def test_subspace_rows_match_product_oracle(q, r, s, t):
     F = GF(q, r)
     rows = subspace_rows(F, s, t)
+    assert rows.dtype == np.uint8
     assert np.array_equal(rows, product_subspace_rows(F.q, s, t))
+
+
+@pytest.mark.parametrize("p,r,dtype", [(251, 1, np.uint8), (2, 8, np.uint8),
+                                       (257, 1, np.uint16), (2, 16, np.uint16)])
+def test_subspace_rows_dtype_follows_q(p, r, dtype):
+    F = GF(p, r)
+    rows = subspace_rows(F, 1, 1)
+    assert rows.dtype == dtype and rows.tolist() == [[1]]
 
 
 def test_enumerate_subspaces_iterates_keys():

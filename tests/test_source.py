@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,3 +28,14 @@ def test_all_names_exist():
                                          if path.stem != "__init__" else "ringforge")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, f"{path.name} exports missing names {missing}"
+
+
+# numpy is the only dependency; importing scipy cost most of the set-up
+# time of every run
+def test_import_loads_no_scipy():
+    code = ("import sys, ringforge; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
