@@ -242,18 +242,8 @@ def classify_congruence(F, s: int, symmetric_only: bool = False,
 
 # -- equivalence orbits of t-dimensional matrix spaces --
 
-def _normalize_lines(F, W):
-    """Scale rows of (N, m) so the leading nonzero entry is 1."""
-    lead_idx = np.argmax(W != 0, axis=1)
-    lead = W[np.arange(len(W)), lead_idx]
-    return F._mul_raw(W, F._inv[lead][:, None])
-
-
 def _canon_rows(F, imgs, t):
     """Canonical RREF rows for a stack of bases (N, t, m) of full rank t."""
-    if t == 1:
-        N, _, m = imgs.shape
-        return _normalize_lines(F, imgs.reshape(N, m)).reshape(N, t, m)
     R, ranks = linalg.rref_batch(F, imgs)
     if (ranks != t).any():
         raise RuntimeError(f"orbit image lost rank: expected {t}, got {ranks.min()}")
@@ -266,12 +256,6 @@ def _subspace_orbit_flags(s, t, orbit_rows):
     rep = arr[0]
     commut = bool((rep == rep.transpose(0, 2, 1)).all())
     return contains, commut
-
-
-def _make_key(s, t, row) -> SubspaceKey:
-    m = s * s
-    rows = tuple(tuple(int(x) for x in row[i * m:(i + 1) * m]) for i in range(t))
-    return SubspaceKey(s=s, rank=t, rows=rows)
 
 
 def _ground_index(codes, keys):
@@ -370,7 +354,8 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
     for idx, size, contains, commut in entries:
         if filter_compatible and not contains:
             continue
-        classes.append(OrbitClass(_make_key(s, t, rows[idx]), size, contains, commut))
+        rep = SubspaceKey.from_rref(s, t, rows[idx])
+        classes.append(OrbitClass(rep, size, contains, commut))
     covered = sum(c.orbit_size for c in classes)
     if not filter_compatible and covered != N:
         raise RuntimeError(f"orbits cover {covered} of {N} subspaces")
@@ -445,7 +430,7 @@ def orbit_of(F, obj, use_frobenius: bool = True, budget=None,
         seen = np.insert(seen, pos[fresh], keys[fresh])
         frontier = imgs[first[fresh]]
     if kind == "subspace":
-        rep = _make_key(s, t, rep_row)
+        rep = SubspaceKey.from_rref(s, t, rep_row)
     else:
         rep = rep_row.reshape(s, s)
     return OrbitResult(

@@ -1,7 +1,7 @@
 """Exact linear algebra over a GF instance.
 
-Matrices and vectors are numpy int64 arrays of element codes.  Scalar
-helpers run plain python loops (everything here is tiny); the batched
+Matrices and vectors are numpy int64 arrays of element codes.  ``det``
+runs a plain python elimination (its matrices are tiny); the batched
 helpers carry the orbit engine and are vectorized over the leading axes.
 
 GF(q)-linear maps that act on many vectors (the group tensor of the
@@ -18,7 +18,10 @@ and GF(13) at s = 2.
 
 ``rref_batch`` brings a stack of bases (N, t, m) to reduced row echelon
 form by row-pivot Gauss-Jordan through the ``GF`` raw ops, one step per
-row of the stack, the same code for every field.  Each step works on
+row of the stack, the same code for every field.  It is the one row
+reduction: ``rref`` (and with it ``rank``, ``solve`` and ``inv_mat``) is
+its one-item case.  ``det`` keeps its own elimination, because a
+determinant's value and sign are not part of an RREF.  Each step works on
 whole (N, m) rows, so its numpy overhead does not grow with m.  Prime
 fields are eliminated in the narrow signed dtype of ``_elim_dtype``
 (int8 up to p = 11, int16 up to p = 181), so each step moves less
@@ -71,35 +74,13 @@ def transpose(A) -> np.ndarray:
 
 
 def rref(F, M):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
-    M = np.asarray(M, dtype=np.int64)
-    rows, cols = M.shape
-    R = [list(map(int, row)) for row in M]
-    mul, add, neg, inv = F.mul, F.add, F.neg, F.inv
-    piv = []
-    rr = 0
-    for j in range(cols):
-        pr = None
-        for i in range(rr, rows):
-            if R[i][j]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        R[rr], R[pr] = R[pr], R[rr]
-        c = R[rr][j]
-        if c != 1:
-            c = inv(c)
-            R[rr] = [mul(c, x) for x in R[rr]]
-        for i in range(rows):
-            f = R[i][j]
-            if i != rr and f:
-                R[i] = [add(x, neg(mul(f, y))) for x, y in zip(R[i], R[rr])]
-        piv.append(j)
-        rr += 1
-        if rr == rows:
-            break
-    return np.array(R, dtype=np.int64).reshape(rows, cols), piv
+    """Reduced row echelon form; returns (R, pivot_columns).
+
+    A one-item ``rref_batch``: the first rank rows of R are nonzero and
+    each pivot is the leading column of its row.
+    """
+    R, ranks = rref_batch(F, np.asarray(M)[None])
+    return R[0], [int(np.flatnonzero(row)[0]) for row in R[0, :ranks[0]]]
 
 
 def rank(F, M) -> int:
@@ -268,11 +249,14 @@ def rref_batch(F, M):
     Row-pivot Gauss-Jordan over the whole stack, one step per row: step i
     moves the remaining row with the leftmost leading entry to position
     i, scales it to a unit pivot and clears its column from every other
-    row.  An item whose remaining rows are all zero is left unchanged by
-    the step (its pivot row is zero), and ``ranks`` counts the steps that
-    found a pivot.  RREF is unique, so the result equals ``rref`` item by
-    item.  The stack is eliminated in ``_elim_dtype(F)`` (int8 up to
-    p = 11, int16 up to p = 181) and returned as int64.
+    row.  That row and its leading column come from one argmax over the
+    remaining block read column by column, confirmed by one gather of the
+    pivot entry: an item whose remaining rows are all zero gets a zero
+    pivot, is left unchanged by the step, and is not counted in
+    ``ranks``.  The last row of a stack needs no search and no swap, so a
+    t = 1 stack is only scaled.  The stack is eliminated in
+    ``_elim_dtype(F)`` (int8 up to p = 11, int16 up to p = 181) and
+    returned as int64.
     """
     dt = _elim_dtype(F)
     R = np.array(M, dtype=dt)
@@ -281,22 +265,24 @@ def rref_batch(F, M):
     ranks = np.zeros(N, dtype=np.int64)
     items = np.arange(N)
     for i in range(min(t, m)):
-        nz = R[:, i:] != 0                                   # (N, t-i, m)
-        lead = np.where(nz.any(axis=2), nz.argmax(axis=2), m)
-        k = lead.argmin(axis=1)
-        col = lead[items, k]
-        live = col < m
-        col[~live] = 0              # dead items: any column of a zero row
-        k += i
-        sw = np.flatnonzero(k != i)     # a full gather would copy the stack
-        R[sw, i], R[sw, k[sw]] = R[sw, k[sw]], R[sw, i]
-        piv = F._mul_raw(R[:, i], inv[R[items, i, col]][:, None])
+        if i < t - 1:
+            # first nonzero in column-major order: the leftmost leading
+            # column, and the first remaining row that leads there
+            nz = (R[:, i:] != 0).transpose(0, 2, 1).reshape(N, m * (t - i))
+            col, k = np.divmod(nz.argmax(axis=1), t - i)
+            k += i
+            sw = np.flatnonzero(k != i)     # a full gather would copy the stack
+            R[sw, i], R[sw, k[sw]] = R[sw, k[sw]], R[sw, i]
+        else:
+            col = (R[:, i] != 0).argmax(axis=1)
+        lead = R[items, i, col]
+        piv = F._mul_raw(R[:, i], inv[lead][:, None])
         R[:, i] = piv
         for j in range(t):
             if j != i:
                 f = R[items, j, col]
                 R[:, j] = F._sub_mul_raw(R[:, j], f[:, None], piv)
-        ranks += live
+        ranks += lead != 0
     return R.astype(np.int64, copy=False), ranks
 
 

@@ -29,6 +29,13 @@ class SubspaceKey:
     rank: int
     rows: tuple
 
+    @classmethod
+    def from_rref(cls, s: int, rank: int, R) -> "SubspaceKey":
+        """Key of the first ``rank`` rows of an RREF basis R, given as
+        rows of length s*s or flattened."""
+        rows = np.reshape(R, (-1, s * s))[:rank].tolist()
+        return cls(s=s, rank=rank, rows=tuple(map(tuple, rows)))
+
     @property
     def flat(self) -> tuple:
         return tuple(c for row in self.rows for c in row)
@@ -78,9 +85,7 @@ def subspace_key(F, mats) -> SubspaceKey:
     F._check_array(mats)
     t, s = mats.shape[0], mats.shape[1]
     R, piv = linalg.rref(F, mats.reshape(t, s * s))
-    rank = len(piv)
-    rows = tuple(tuple(int(x) for x in R[i]) for i in range(rank))
-    return SubspaceKey(s=s, rank=rank, rows=rows)
+    return SubspaceKey.from_rref(s, len(piv), R)
 
 
 def subspace_rows(F, s: int, t: int) -> np.ndarray:
@@ -136,10 +141,8 @@ def _pivot_block(q, t, m, pivots) -> np.ndarray:
 
 def enumerate_subspaces(F, s: int, t: int):
     """Yield every t-dimensional subspace key exactly once, ascending."""
-    m = s * s
     for row in subspace_rows(F, s, t):
-        rows = tuple(tuple(int(x) for x in row[i * m:(i + 1) * m]) for i in range(t))
-        yield SubspaceKey(s=s, rank=t, rows=rows)
+        yield SubspaceKey.from_rref(s, t, row)
 
 
 def dead_indices(tuples) -> np.ndarray:

@@ -99,6 +99,9 @@ class RingSpec:
 
     @classmethod
     def from_dict(cls, d) -> "RingSpec":
+        missing = [k for k in ("p", "s", "t", "matrices") if k not in d]
+        if missing:
+            raise ValueError(f"presentation lacks the field(s) {', '.join(missing)}")
         F = GF(int(d["p"]), int(d.get("r", 1)), d.get("modulus"))
         s = int(d["s"])
         t = int(d["t"])
@@ -165,7 +168,9 @@ class Ring:
 
     def element_array(self) -> np.ndarray:
         if self.order > 10 ** 6:
-            raise ValueError(f"refusing to materialize {self.order} elements")
+            raise ValueError(
+                f"refusing to materialize {self.order} elements, over the bound of 10^6"
+            )
         return linalg.decode_codes(np.arange(self.order), self.field.q, self.n)
 
     # -- arithmetic --
@@ -293,7 +298,9 @@ def check_axioms(ring: Ring, mode: str = "exhaustive", seed: int = 42,
     if mode == "exhaustive":
         if N ** 3 > _EXHAUSTIVE_TRIPLES:
             raise ValueError(
-                f"{N}^3 triples exceed the exhaustive bound 2^26; use mode='sampled'"
+                f"{N}^3 triples exceed the exhaustive bound of {_EXHAUSTIVE_TRIPLES} "
+                f"(change it with ringforge.rings._EXHAUSTIVE_TRIPLES); "
+                f"use mode='sampled'"
             )
         T = ring.mul_table()
         S = ring.add_table()
@@ -689,6 +696,12 @@ def equivalent_spec(spec: RingSpec, C, sigma_e: int = 0, B=None,
     ring = Ring(spec)
     F = ring.field
     s, t, lam = ring.s, ring.t, ring.lam
+    if tail_perm is None:
+        tail_perm = tuple(range(lam))
+    elif sorted(tail_perm) != list(range(lam)):
+        raise ValueError(
+            f"tail_perm {tuple(tail_perm)} is not a permutation of range({lam})"
+        )
     C = linalg.mat(F, C)
     if linalg.det(F, C) == 0:
         raise ValueError("C is singular")
@@ -722,8 +735,6 @@ def equivalent_spec(spec: RingSpec, C, sigma_e: int = 0, B=None,
                 "transformation leaves the supported regime: theta is overdetermined"
             )
         new_theta_head.append(need.pop() if need else ring.theta[rho])
-    if tail_perm is None:
-        tail_perm = tuple(range(lam))
     tail = list(ring.theta[t:])
     new_tail = [0] * lam
     for mu in range(lam):

@@ -1,10 +1,12 @@
 """Self-contained reference implementations used as oracles by the tests.
 
-Everything here is deliberately naive and, apart from the determinants
-of ``gl_det_filter``, the ring products and scalar ranks of
+Everything here is deliberately naive and, apart from the scalar field
+ops of ``rref_scalar`` and ``gf_table_*``, the determinants of
+``gl_det_filter``, the ring products and scalar ranks of
 ``brute_structure`` and the kernels of ``iso_exhaustive`` and
-``congruence_sweep``, independent of the package: plain itertools enumeration, float determinants (exact
-for the sizes and moduli involved), and dictionary-based orbit
+``congruence_sweep``, independent of the package: plain itertools
+enumeration, float determinants (exact for the sizes and moduli
+involved), python-list elimination, and dictionary-based orbit
 bookkeeping.  ``iso_exhaustive`` is the whole-group isomorphism search
 that ``iso_test`` replaced: it shares no search order, prefilter or
 chunking with it.  ``congruence_sweep`` is the whole-group congruence
@@ -253,6 +255,41 @@ def gf_table_kron(F, A, B) -> np.ndarray:
     for i, j, k, l in itertools.product(range(a1), range(a2), range(b1), range(b2)):
         out[i * b1 + k, j * b2 + l] = F.mul(int(A[i, j]), int(B[k, l]))
     return out
+
+
+def rref_scalar(F, M):
+    """Reduced row echelon form of one matrix by column-by-column
+    Gauss-Jordan on python lists through the field's scalar ops; returns
+    (R, pivot_columns).  The reference for ``linalg.rref_batch`` and
+    ``linalg.rref``: it searches pivots column by column, not row by row."""
+    M = np.asarray(M, dtype=np.int64)
+    rows, cols = M.shape
+    R = [list(map(int, row)) for row in M]
+    mul, add, neg, inv = F.mul, F.add, F.neg, F.inv
+    piv = []
+    rr = 0
+    for j in range(cols):
+        pr = None
+        for i in range(rr, rows):
+            if R[i][j]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        R[rr], R[pr] = R[pr], R[rr]
+        c = R[rr][j]
+        if c != 1:
+            c = inv(c)
+            R[rr] = [mul(c, x) for x in R[rr]]
+        for i in range(rows):
+            f = R[i][j]
+            if i != rr and f:
+                R[i] = [add(x, neg(mul(f, y))) for x, y in zip(R[i], R[rr])]
+        piv.append(j)
+        rr += 1
+        if rr == rows:
+            break
+    return np.array(R, dtype=np.int64).reshape(rows, cols), piv
 
 
 def poly_code_mul(p: int, modulus, a: int, b: int) -> int:

@@ -309,6 +309,9 @@ def test_canon_rows_rejects_rank_loss():
                       [[1, 2, 0, 1], [2, 1, 0, 2]]], dtype=np.int64)
     with pytest.raises(RuntimeError, match="lost rank"):
         _canon_rows(F, stack, 2)
+    lines = np.array([[[1, 2, 0, 1]], [[0, 0, 0, 0]]], dtype=np.int64)
+    with pytest.raises(RuntimeError, match="expected 1, got 0"):
+        _canon_rows(F, lines, 1)
 
 
 def test_unknown_strategy():

@@ -176,6 +176,29 @@ def test_ring_invalid_spec(capsys, tmp_path):
     assert "linearly dependent" in err
 
 
+def _spec_without(tmp_path, name, field):
+    d = prime_spec(2, [[1]]).to_dict()
+    del d[field]
+    path = tmp_path / name
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+def test_ring_spec_missing_field(capsys, tmp_path):
+    path = _spec_without(tmp_path, "no_s.json", "s")
+    code, _, err = run_cli(capsys, "ring", "--spec", path)
+    assert code == 2
+    assert err.startswith("error:") and "field(s) s" in err
+
+
+def test_iso_spec_missing_field(capsys, tmp_path):
+    a = write_spec(tmp_path, "a.json", prime_spec(2, [[1]]))
+    d = _spec_without(tmp_path, "no_matrices.json", "matrices")
+    code, _, err = run_cli(capsys, "iso", "--left", a, "--right", d)
+    assert code == 2
+    assert err.startswith("error:") and "field(s) matrices" in err
+
+
 # -- reps ------------------------------------------------------------------
 
 def test_reps_bilinear(capsys):

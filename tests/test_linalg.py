@@ -1,12 +1,15 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringforge import GF
 from ringforge import linalg as la
 from ringforge import gl
 from ringforge.gl import det_batch, enumerate_gl, gl_chunks, gl_generators, gl_order
 
-from oracles import gf_table_kron, gf_table_matmul, gl_det_filter, raw_gl
+from oracles import gf_table_kron, gf_table_matmul, gl_det_filter, raw_gl, rref_scalar
 
 
 def random_matrices(F, s, count, seed):
@@ -61,7 +64,7 @@ def test_rref_batch_matches_scalar(q, r):
         R, ranks = la.rref_batch(F, stack)
         assert R.shape == stack.shape and ranks.shape == (len(stack),)
         for i in range(len(stack)):
-            Ri, piv = la.rref(F, stack[i])
+            Ri, piv = rref_scalar(F, stack[i])
             assert np.array_equal(R[i], Ri)
             assert ranks[i] == len(piv)
         if stack is wide:
@@ -83,9 +86,43 @@ def test_rref_batch_narrow_dtype_edges(p, dtype):
     R, ranks = la.rref_batch(F, stack)
     assert R.dtype == np.int64 and ranks.dtype == np.int64
     for i in range(len(stack)):
-        Ri, piv = la.rref(F, stack[i])
+        Ri, piv = rref_scalar(F, stack[i])
         assert np.array_equal(R[i], Ri)
         assert ranks[i] == len(piv)
+
+
+@cache
+def _oracle_field(p, r):
+    return GF(p, r)
+
+
+@st.composite
+def _rref_stacks(draw):
+    """A field and a stack (N, t, m) with t = 0..5 (t > m included), some
+    rows and some whole items zeroed, N = 0 included."""
+    p, r = draw(st.sampled_from([(2, 1), (5, 1), (2, 2), (3, 2), (2, 16)]))
+    F = _oracle_field(p, r)
+    N, t, m = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    entries = draw(st.lists(st.integers(0, F.q - 1), min_size=N * t * m,
+                            max_size=N * t * m))
+    stack = np.array(entries, dtype=np.int64).reshape(N, t, m)
+    stack[np.array(draw(st.lists(st.booleans(), min_size=N * t, max_size=N * t)),
+                   dtype=bool).reshape(N, t)] = 0
+    stack[np.array(draw(st.lists(st.booleans(), min_size=N, max_size=N)), dtype=bool)] = 0
+    return F, stack
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_rref_stacks())
+def test_rref_batch_and_rref_match_oracle(case):
+    F, stack = case
+    R, ranks = la.rref_batch(F, stack)
+    assert R.shape == stack.shape and ranks.shape == (len(stack),)
+    for i in range(len(stack)):
+        Ro, pivo = rref_scalar(F, stack[i])
+        Ri, piv = la.rref(F, stack[i])
+        assert np.array_equal(R[i], Ro) and np.array_equal(Ri, Ro)
+        assert ranks[i] == len(pivo) and piv == pivo
 
 
 # -- inverse, det, solve ---------------------------------------------------

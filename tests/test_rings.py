@@ -75,6 +75,12 @@ def test_element_index_round_trip(R8):
     assert R8.element(5) == tuple(E[5])
 
 
+def test_element_array_bound():
+    ring = Ring(prime_spec(2, [[1]], lam=17))       # 2^20 elements
+    with pytest.raises(ValueError, match=r"1048576 elements, over the bound of 10\^6"):
+        ring.element_array()
+
+
 def test_rejects_dependent_matrices():
     mats = [[[1, 0], [0, 1]], [[2, 0], [0, 2]]]
     with pytest.raises(ValueError, match="linearly dependent"):
@@ -177,7 +183,8 @@ def test_axioms_sampled():
 
 def test_axioms_exhaustive_bound():
     ring = Ring(prime_spec(3, [[1]], lam=3))  # 729^3 > 2^26
-    with pytest.raises(ValueError, match="sampled"):
+    with pytest.raises(ValueError, match=r"bound of 67108864 \(change it with "
+                       r"ringforge\.rings\._EXHAUSTIVE_TRIPLES\); use mode='sampled'"):
         check_axioms(ring)
     with pytest.raises(ValueError, match="mode"):
         check_axioms(Ring(prime_spec(2, [[1]])), mode="half")
@@ -342,6 +349,14 @@ def test_iso_recombination_witness():
     d = equivalent_spec(a, la.identity(3), B=[[1, 1], [0, 1]])
     w = iso_test(a, d)
     assert w is not None and verify_witness(a, d, w)
+
+
+def test_equivalent_spec_rejects_non_permutation_tail():
+    a = gf4_spec([[1]], sigma=(0,), theta=(0, 1, 0), lam=2)
+    for perm in ((0, 0), (0, 1, 2)):
+        with pytest.raises(ValueError, match=r"not a permutation of range\(2\)"):
+            equivalent_spec(a, la.identity(1), tail_perm=perm)
+    assert equivalent_spec(a, la.identity(1), tail_perm=(1, 0)).theta == (0, 0, 1)
 
 
 def test_iso_tail_permutation():
