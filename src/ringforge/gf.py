@@ -2,9 +2,10 @@
 
 An element sum(c_i x^i) of GF(p^r) is stored as the integer sum(c_i p^i),
 so the codes 0..q-1 enumerate the field and double as table indices.  All
-operations accept either plain ints or numpy arrays of codes; scalar calls
-go through python lists, batched calls through numpy gathers, both reading
-the same precomputed tables.  Fields are immutable and safe to share.
+operations accept either plain ints or numpy arrays of codes and run one
+numpy code path on one set of precomputed tables: an int result when every
+operand is an int (python or numpy), a new int64 array otherwise.  Fields
+are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import numpy as np
 
 __all__ = ["GF", "is_prime"]
 
-# largest q whose extension field gets full q x q add/mul tables (and their
-# list twins for scalar calls); larger fields use log/exp and digit ops.
-# A field-size bound, unrelated to the ring-order cap rings._TABLE_LIMIT
+# largest q whose extension field gets full q x q add/mul tables; larger
+# fields use log/exp and digit ops.  A field-size bound, unrelated to the
+# ring-order cap rings._TABLE_LIMIT
 _FULL_TABLE_Q = 1024
 _Q_LIMIT = 1 << 16
 
@@ -222,51 +223,54 @@ class GF:
                 frob[e] = nxt
             self._frob = frob
         if r > 1 and q <= _FULL_TABLE_Q:
-            add = (self._digits[:, None, :] + self._digits[None, :, :]) % p
-            self._add_t = add @ self._pows
+            # one digit at a time in uint8 (p <= 31 here, so 2(p-1) fits):
+            # the peak stays near the 8 MB table of GF(2^10)
+            add = np.zeros((q, q), dtype=np.int64)
+            for i in range(r):
+                d = self._digits[:, i].astype(np.uint8)
+                add += (d[:, None] + d[None, :]) % p * self._pows[i]
+            self._add_t = add
             with np.errstate(all="ignore"):
                 lg = self._log
                 mul = self._exp[lg[:, None] + lg[None, :]]
             mul[0, :] = 0
             mul[:, 0] = 0
             self._mul_t = mul
-            self._add_l = self._add_t.tolist()
-            self._mul_l = mul.tolist()
         else:
             self._add_t = self._mul_t = None
-            self._add_l = self._mul_l = None
-        self._neg_l = self._neg.tolist()
-        self._inv_l = self._inv.tolist()
-        self._frob_l = self._frob.tolist() if self._frob is not None else None
         self._squares = None
 
     # -- element validation --
 
     def _check(self, *codes):
-        for a in codes:
-            if not 0 <= a < self.q:
-                raise ValueError(
-                    f"element code {a} out of range for GF({self.q})"
-                )
+        """Validate operands as element codes in [0, q).
 
-    def _check_array(self, a):
-        if a.size and (a.min() < 0 or a.max() >= self.q):
-            raise ValueError(f"element codes out of range for GF({self.q})")
+        Returns whether every operand is an int (python or numpy), and the
+        operands as python ints if so, as int64 arrays otherwise.
+        """
+        q = self.q
+        ints = []
+        for a in codes:
+            if not isinstance(a, (int, np.integer)):
+                break
+            if not 0 <= a < q:
+                raise ValueError(f"element code {a} out of range for GF({q})")
+            ints.append(int(a))
+        else:
+            return True, ints
+        codes = tuple(np.asarray(a) for a in codes)
+        for a in codes:
+            if a.size and (a.min() < 0 or a.max() >= q):
+                bad = a.min() if a.min() < 0 else a.max()
+                raise ValueError(f"element code {bad} out of range for GF({q})")
+        return False, tuple(a.astype(np.int64, copy=False) for a in codes)
 
     # -- arithmetic; int in -> int out, array in -> array out --
 
     def add(self, a, b):
-        if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
-            self._check(a, b)
-            if self.r == 1:
-                return (a + b) % self.p
-            if self._add_l is not None:
-                return self._add_l[a][b]
-        a = np.asarray(a)
-        b = np.asarray(b)
-        self._check_array(a)
-        self._check_array(b)
-        return self._add_raw(a, b)
+        scalar, (a, b) = self._check(a, b)
+        out = self._add_raw(a, b)
+        return int(out) if scalar else out
 
     def _add_raw(self, a, b):
         if self.r == 1:
@@ -277,49 +281,32 @@ class GF:
         return d @ self._pows
 
     def neg(self, a):
-        if isinstance(a, (int, np.integer)):
-            self._check(a)
-            return self._neg_l[a]
-        a = np.asarray(a)
-        self._check_array(a)
-        return self._neg[a]
+        scalar, (a,) = self._check(a)
+        out = self._neg_raw(a)
+        return int(out) if scalar else out
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
-            self._check(a, b)
-            if self.r == 1:
-                return (a * b) % self.p
-            if self._mul_l is not None:
-                return self._mul_l[a][b]
-            if a == 0 or b == 0:
-                return 0
-            return int(self._exp[self._log[a] + self._log[b]])
-        a = np.asarray(a)
-        b = np.asarray(b)
-        self._check_array(a)
-        self._check_array(b)
-        return self._mul_raw(a, b)
+        scalar, (a, b) = self._check(a, b)
+        out = self._mul_raw(a, b)
+        return int(out) if scalar else out
 
     def _mul_raw(self, a, b):
         if self.r == 1:
             return (a * b) % self.p
         if self._mul_t is not None:
             return self._mul_t[a, b]
-        out = self._exp[self._log[a] + self._log[b]]
-        return np.where((a == 0) | (b == 0), 0, out)
+        return self._exp[self._log[a] + self._log[b]] * ((a != 0) & (b != 0))
 
     def inv(self, a):
-        if isinstance(a, (int, np.integer)):
-            self._check(a)
-            if a == 0:
-                raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
-            return self._inv_l[a]
-        a = np.asarray(a)
-        self._check_array(a)
-        if (a == 0).any():
+        scalar, (a,) = self._check(a)
+        out = self._inv_raw(a)
+        return int(out) if scalar else out
+
+    def _inv_raw(self, a):
+        if np.any(a == 0):
             raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
         return self._inv[a]
 
@@ -327,48 +314,27 @@ class GF:
         return self.mul(a, self.inv(b))
 
     def pow(self, a, k: int):
-        """a**k for integer k; negative k inverts first."""
-        if isinstance(a, (int, np.integer)):
-            self._check(a)
-            if a == 0:
-                if k == 0:
-                    return 1
-                if k < 0:
-                    raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
-                return 0
-            if k < 0:
-                a, k = self.inv(a), -k
-            out, base = 1, a
-            while k:
-                if k & 1:
-                    out = self.mul(out, base)
-                base = self.mul(base, base)
-                k >>= 1
-            return out
-        a = np.asarray(a)
-        self._check_array(a)
+        """a**k for integer k by square and multiply; negative k inverts
+        first, and 0**0 = 1."""
+        scalar, (a,) = self._check(a)
         if k < 0:
-            a, k = self.inv(a), -k
-        if self.r == 1:
-            return np.vectorize(lambda x: pow(int(x), k, self.p) if x or k else 1)(a)
-        if k == 0:
-            return np.ones_like(a)
-        out = self._exp[(self._log[a] * k) % (self.q - 1)]
-        return np.where(a == 0, 0, out)
+            a, k = self._inv_raw(a), -k
+        out = a ** 0   # ones shaped like a; the int 1 for an int
+        while k:
+            if k & 1:
+                out = self._mul_raw(out, a)
+            a = self._mul_raw(a, a)
+            k >>= 1
+        return int(out) if scalar else out
 
     def frobenius(self, a, e: int = 1):
         """Apply x -> x^(p^e); e reduces mod r."""
-        e = e % self.r
-        if isinstance(a, (int, np.integer)):
-            self._check(a)
-            if self.r == 1:
-                return int(a)
-            return self._frob_l[e][a]
-        a = np.asarray(a)
-        self._check_array(a)
-        if self.r == 1:
-            return a.copy()
-        return self._frob[e][a]
+        scalar, (a,) = self._check(a)
+        out = self._frob_raw(a, e)
+        if scalar:
+            return int(out)
+        # a prime field's Frobenius is the identity; never alias the input
+        return out.copy() if out is a else out
 
     def _frob_raw(self, a, e):
         if self.r == 1:
@@ -398,10 +364,8 @@ class GF:
     def squares(self):
         """Sorted codes of all squares (including 0)."""
         if self._squares is None:
-            s = {0}
-            for a in self.units():
-                s.add(self.mul(a, a))
-            self._squares = tuple(sorted(s))
+            a = np.arange(self.q)
+            self._squares = tuple(np.unique(self.mul(a, a)).tolist())
         return self._squares
 
     def least_nonsquare(self) -> int:
@@ -431,7 +395,7 @@ class GF:
     # -- presentation --
 
     def element_digits(self, a):
-        self._check(a)
+        _, (a,) = self._check(a)
         return tuple((a // self.p ** i) % self.p for i in range(self.r))
 
     def poly_str(self, a, var: str = "a") -> str:

@@ -46,7 +46,7 @@ _ENCODE_CHUNK = 1 << 16
 
 def mat(F, rows) -> np.ndarray:
     A = np.asarray(rows, dtype=np.int64)
-    F._check_array(A)
+    F._check(A)
     return A
 
 

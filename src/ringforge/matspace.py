@@ -82,7 +82,7 @@ def subspace_key(F, mats) -> SubspaceKey:
     """Canonical key of span(mats); rank below len(mats) is reported, not an
     error, so dependent spanning tuples collapse to the same key."""
     mats = _tuple3(mats)
-    F._check_array(mats)
+    F._check(mats)
     t, s = mats.shape[0], mats.shape[1]
     R, piv = linalg.rref(F, mats.reshape(t, s * s))
     return SubspaceKey.from_rref(s, len(piv), R)
@@ -156,7 +156,7 @@ def tuple_compatible(F, mats) -> CompatReport:
     """Independence plus the dead-index scan (1-based indices i whose row i
     and column i vanish in every member)."""
     mats = _tuple3(mats)
-    F._check_array(mats)
+    F._check(mats)
     t, s = mats.shape[0], mats.shape[1]
     independent = linalg.rank(F, mats.reshape(t, s * s)) == t
     dead = tuple(int(i) + 1 for i in np.flatnonzero(dead_indices(mats[None])[0]))

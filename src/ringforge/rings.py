@@ -127,7 +127,7 @@ class Ring:
             raise ValueError(
                 f"expected {t} structural matrices of shape {s}x{s}, got {mats.shape}"
             )
-        F._check_array(mats)
+        F._check(mats)
         if len(spec.sigma) != s or len(spec.theta) != t + lam:
             raise ValueError(
                 f"need {s} sigma and {t + lam} theta exponents, "

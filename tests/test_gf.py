@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,16 +134,52 @@ def test_pow_laws_gf9(a, b, m, n):
         assert F.pow(a, m + n) == F.mul(F.pow(a, m), F.pow(a, n))
 
 
-def test_array_ops_match_scalar(F):
+# one field per arithmetic regime: prime, q x q tables, log/exp with digits
+REGIME_FIELDS = [(5, 1), (3, 2), (2, 11)]
+# the array check also runs on both log/exp fields the q <= 81 list misses
+ARRAY_FIELDS = FIELDS + [(2, 11), (3, 7)]
+
+
+def _field_id(pr):
+    return f"GF({pr[0] ** pr[1]})"
+
+
+@pytest.mark.parametrize("pr", REGIME_FIELDS, ids=_field_id)
+@pytest.mark.parametrize("kind", [int, np.int64, np.uint16], ids=lambda k: k.__name__)
+def test_int_operands_give_int(pr, kind):
+    F = GF(*pr)
+    a, b = kind(2), kind(F.q - 1)
+    results = [F.add(a, b), F.sub(a, b), F.mul(a, b), F.div(a, b), F.neg(a),
+               F.inv(a), F.pow(a, 3), F.pow(a, -2), F.pow(kind(0), 0),
+               F.frobenius(a), F.frobenius(b, 2)]
+    assert [type(x) for x in results] == [int] * len(results)
+
+
+@pytest.mark.parametrize("pr", ARRAY_FIELDS, ids=_field_id)
+def test_array_ops_match_scalar(pr):
+    F = GF(*pr)
     rng = np.random.default_rng(7)
     a = rng.integers(0, F.q, size=40)
     b = rng.integers(0, F.q, size=40)
-    assert all(F.add(a, b)[i] == F.add(int(a[i]), int(b[i])) for i in range(40))
-    assert all(F.mul(a, b)[i] == F.mul(int(a[i]), int(b[i])) for i in range(40))
-    assert all(F.neg(a)[i] == F.neg(int(a[i])) for i in range(40))
-    for e in F.automorphism_exponents():
-        fa = F.frobenius(a, e)
-        assert all(fa[i] == F.frobenius(int(a[i]), e) for i in range(40))
+    a[:2] = b[2:4] = 0
+    u = rng.integers(1, F.q, size=40)
+    cases = [(F.add, (a, b)), (F.sub, (a, b)), (F.mul, (a, b)), (F.div, (a, u)),
+             (F.neg, (a,)), (F.inv, (u,))]
+    cases += [(lambda x, k=k: F.pow(x, k), (a,)) for k in (0, 1, 2, 5, F.q - 2, F.q)]
+    cases += [(lambda x, k=k: F.pow(x, k), (u,)) for k in (-1, -3, -(F.q - 2))]
+    cases += [(lambda x, e=e: F.frobenius(x, e), (a,)) for e in range(-1, F.r + 1)]
+    for op, args in cases:
+        out = op(*args)
+        assert out.shape == (40,)
+        assert not any(np.shares_memory(out, x) for x in args)
+        assert out.tolist() == [op(*(int(x[i]) for x in args)) for i in range(40)]
+    assert F.pow(0, 0) == 1 and F.pow(np.zeros(3, dtype=np.int64), 0).tolist() == [1] * 3
+    with pytest.raises(ZeroDivisionError):
+        F.pow(0, -1)
+    with pytest.raises(ZeroDivisionError):
+        F.pow(a, -1)
+    with pytest.raises(ZeroDivisionError):
+        F.div(a, b)
 
 
 def test_code_range_checks(F):
@@ -150,7 +188,19 @@ def test_code_range_checks(F):
     with pytest.raises(ValueError):
         F.add(-1, 0)
     with pytest.raises(ValueError, match="out of range"):
-        F._check_array(np.array([0, F.q]))
+        F._check(np.array([0, F.q]))
+
+
+def test_table_build_memory():
+    # the q x q addition table of GF(2^10) is 8 MB; a (q, q, r) int64 digit
+    # tensor to build it from would take 80 MB
+    tracemalloc.start()
+    try:
+        GF(2, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20
 
 
 # -- structure queries -----------------------------------------------------

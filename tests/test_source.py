@@ -5,6 +5,7 @@ import importlib
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,37 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# under python -O the invariants that guard results still raise; pytest's
+# own asserts are stripped there, so the check runs in a subprocess
+def test_invariants_raise_under_O():
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from ringforge import GF, classify, matspace, rings
+        print(sys.flags.optimize)
+        calls = [
+            lambda: classify._canon_rows(GF(3), np.zeros((1, 2, 4), dtype=np.int64), 2),
+            lambda: classify._ground_index(np.array([1, 3, 5]), np.array([3, 4])),
+            lambda: matspace._check_rep_count([0, 1], 3),
+            lambda: rings._f_dim(GF(2, 2), np.eye(3, dtype=np.int64), "M^2"),
+        ]
+        for call in calls:
+            try:
+                call()
+            except Exception as exc:
+                print(f"{type(exc).__name__}: {exc}")
+            else:
+                print("no exception")
+    """)
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.splitlines() == [
+        "1",
+        "RuntimeError: orbit image lost rank: expected 2, got 0",
+        "RuntimeError: orbit image left the ground set",
+        "RuntimeError: built 2 representatives, expected 3",
+        "RuntimeError: Z_2-rank 3 of M^2 is not a multiple of r=2",
+    ]
