@@ -223,12 +223,15 @@ class GF:
                 frob[e] = nxt
             self._frob = frob
         if r > 1 and q <= _FULL_TABLE_Q:
-            # one digit at a time in uint8 (p <= 31 here, so 2(p-1) fits):
-            # the peak stays near the 8 MB table of GF(2^10)
+            # Horner over the digits, top digit first: each digit sum is
+            # uint8 (p <= 31 here, so 2(p-1) fits) and is added into the
+            # int64 table in place, so the peak stays near the 8 MB table
+            # of GF(2^10) and no narrow product can wrap
             add = np.zeros((q, q), dtype=np.int64)
-            for i in range(r):
+            for i in range(r - 1, -1, -1):
                 d = self._digits[:, i].astype(np.uint8)
-                add += (d[:, None] + d[None, :]) % p * self._pows[i]
+                add *= p
+                add += (d[:, None] + d[None, :]) % p
             self._add_t = add
             with np.errstate(all="ignore"):
                 lg = self._log
@@ -260,6 +263,8 @@ class GF:
             return True, ints
         codes = tuple(np.asarray(a) for a in codes)
         for a in codes:
+            if not np.issubdtype(a.dtype, np.integer):
+                raise TypeError(f"element codes must be integers, got {a.dtype}")
             if a.size and (a.min() < 0 or a.max() >= q):
                 bad = a.min() if a.min() < 0 else a.max()
                 raise ValueError(f"element code {bad} out of range for GF({q})")

@@ -189,6 +189,10 @@ def test_code_range_checks(F):
         F.add(-1, 0)
     with pytest.raises(ValueError, match="out of range"):
         F._check(np.array([0, F.q]))
+    with pytest.raises(TypeError, match="integers"):
+        F.mul(np.array([1.7]), 1)
+    with pytest.raises(TypeError, match="integers"):
+        F.add(0.0, 1)
 
 
 def test_table_build_memory():
@@ -255,6 +259,12 @@ def test_field_tables_match_naive(p, r):
     powers = naive_powers(p, F.modulus, F._gen)
     assert F._exp.tolist() == powers + powers
     assert F._log[powers].tolist() == list(range(q - 1))
+    # the addition table against digit-wise addition, one row at a time
+    pows = [p ** i for i in range(r)]
+    digits = np.array([[(a // w) % p for w in pows] for a in range(q)])
+    for a in range(q):
+        row = ((digits[a] + digits) % p) @ np.array(pows)
+        assert F._add_t[a].tolist() == row.tolist()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 41, 251, 257])
