@@ -6,6 +6,12 @@ operations accept either plain ints or numpy arrays of codes and run one
 numpy code path on one set of precomputed tables: an int result when every
 operand is an int (python or numpy), a new int64 array otherwise.  Fields
 are immutable and safe to share.
+
+The tables come in three regimes: prime fields compute mod p; extension
+fields up to q = 1024 gather from full q x q tables; larger ones use
+log/exp and digit ops.  In characteristic 2 the digit-wise sum of two
+codes is their XOR, so p = 2 adds (and subtracts) by XOR in every regime
+and builds no q x q addition table.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ import numpy as np
 
 __all__ = ["GF", "is_prime"]
 
-# largest q whose extension field gets full q x q add/mul tables; larger
-# fields use log/exp and digit ops.  A field-size bound, unrelated to the
-# ring-order cap rings._TABLE_LIMIT
+# largest q whose extension field gets full q x q add/mul tables (no add
+# table for p = 2); larger fields use log/exp and digit ops.  A field-size
+# bound, unrelated to the ring-order cap rings._TABLE_LIMIT
 _FULL_TABLE_Q = 1024
 _Q_LIMIT = 1 << 16
 
@@ -222,25 +228,26 @@ class GF:
                 nxt[nz] = exp[(log[prev[nz]] * p) % (q - 1)]
                 frob[e] = nxt
             self._frob = frob
+        self._add_t = self._mul_t = None
         if r > 1 and q <= _FULL_TABLE_Q:
-            # Horner over the digits, top digit first: each digit sum is
-            # uint8 (p <= 31 here, so 2(p-1) fits) and is added into the
-            # int64 table in place, so the peak stays near the 8 MB table
-            # of GF(2^10) and no narrow product can wrap
-            add = np.zeros((q, q), dtype=np.int64)
-            for i in range(r - 1, -1, -1):
-                d = self._digits[:, i].astype(np.uint8)
-                add *= p
-                add += (d[:, None] + d[None, :]) % p
-            self._add_t = add
+            if p > 2:
+                # Horner over the digits, top digit first: each digit sum
+                # is uint8 (p <= 31 here, so 2(p-1) fits) and is added
+                # into the int64 table in place, so the peak stays near
+                # the 7.4 MB table of GF(31^2) and no narrow product can
+                # wrap; p = 2 adds by XOR and needs no table
+                add = np.zeros((q, q), dtype=np.int64)
+                for i in range(r - 1, -1, -1):
+                    d = self._digits[:, i].astype(np.uint8)
+                    add *= p
+                    add += (d[:, None] + d[None, :]) % p
+                self._add_t = add
             with np.errstate(all="ignore"):
                 lg = self._log
                 mul = self._exp[lg[:, None] + lg[None, :]]
             mul[0, :] = 0
             mul[:, 0] = 0
             self._mul_t = mul
-        else:
-            self._add_t = self._mul_t = None
         self._squares = None
 
     # -- element validation --
@@ -278,6 +285,8 @@ class GF:
         return int(out) if scalar else out
 
     def _add_raw(self, a, b):
+        if self.p == 2:
+            return a ^ b
         if self.r == 1:
             return (a + b) % self.p
         if self._add_t is not None:
@@ -299,6 +308,8 @@ class GF:
         return int(out) if scalar else out
 
     def _mul_raw(self, a, b):
+        if self.q == 2:
+            return a & b
         if self.r == 1:
             return (a * b) % self.p
         if self._mul_t is not None:
@@ -311,7 +322,8 @@ class GF:
         return int(out) if scalar else out
 
     def _inv_raw(self, a):
-        if np.any(a == 0):
+        # a python int is compared directly: np.any on it costs microseconds
+        if a == 0 if isinstance(a, int) else np.any(a == 0):
             raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
         return self._inv[a]
 
@@ -352,7 +364,9 @@ class GF:
         return self._neg[a]
 
     def _sub_mul_raw(self, a, f, b):
-        """a - f*b; one reduction mod p for prime fields."""
+        """a - f*b; one reduction mod p for prime fields, XOR for p = 2."""
+        if self.p == 2:
+            return a ^ self._mul_raw(f, b)
         if self.r == 1:
             return (a - f * b) % self.p
         return self._add_raw(a, self._neg[self._mul_raw(f, b)])

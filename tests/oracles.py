@@ -1,8 +1,8 @@
 """Self-contained reference implementations used as oracles by the tests.
 
 Everything here is deliberately naive and, apart from the scalar field
-ops of ``rref_scalar`` and ``gf_table_*``, the determinants of
-``gl_det_filter``, the ring products and scalar ranks of
+ops of ``rref_scalar``, ``gf_table_*`` and ``ring_mul_scalar``, the
+determinants of ``gl_det_filter``, the ring products and scalar ranks of
 ``brute_structure`` and the kernels of ``iso_exhaustive`` and
 ``congruence_sweep``, independent of the package: plain itertools
 enumeration, float determinants (exact for the sizes and moduli
@@ -331,6 +331,27 @@ def least_generator(p: int, modulus) -> int:
         if order == q - 1:
             return g
     raise AssertionError("no generator")
+
+
+def ring_mul_scalar(ring, x, y) -> tuple:
+    """The product of two ring elements by the formula of the ``rings``
+    module docstring, coordinate by coordinate through the public scalar
+    ``F.mul``, ``F.add`` and ``F.frobenius``."""
+    F = ring.field
+    s, t, lam = ring.s, ring.t, ring.lam
+    a, u, w = int(x[0]), [int(v) for v in x[1:1 + s]], [int(v) for v in x[1 + s:]]
+    b, v, z = int(y[0]), [int(c) for c in y[1:1 + s]], [int(c) for c in y[1 + s:]]
+    out = [F.mul(a, b)]
+    for i in range(s):
+        out.append(F.add(F.mul(a, v[i]), F.mul(u[i], F.frobenius(b, ring.sigma[i]))))
+    for k in range(t + lam):
+        acc = F.add(F.mul(a, z[k]), F.mul(w[k], F.frobenius(b, ring.theta[k])))
+        if k < t:
+            for i, j in itertools.product(range(s), repeat=2):
+                term = F.mul(u[i], F.frobenius(v[j], ring.sigma[i]))
+                acc = F.add(acc, F.mul(int(ring.matrices[k, i, j]), term))
+        out.append(acc)
+    return tuple(out)
 
 
 def brute_structure(ring):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ringforge import GF
 
-from oracles import least_generator, naive_powers
+from oracles import least_generator, naive_powers, poly_code_mul
 
 # q <= 81 keeps every exhaustive loop here instantaneous
 FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2), (3, 4)]
@@ -182,6 +182,51 @@ def test_array_ops_match_scalar(pr):
         F.div(a, b)
 
 
+@pytest.mark.parametrize("pr", REGIME_FIELDS + [(2, 1), (2, 4)], ids=_field_id)
+def test_inv_of_zero_raises(pr):
+    F = GF(*pr)
+    for zero in (0, np.int64(0), np.array([1, 0, 1]), np.zeros((2, 2), dtype=np.int64)):
+        with pytest.raises(ZeroDivisionError, match="0 has no inverse"):
+            F.inv(zero)
+    with pytest.raises(ZeroDivisionError):
+        F._inv_raw(np.int64(0))
+    assert F.inv(1) == 1 and F.inv(np.array([1])).tolist() == [1]
+
+
+# -- characteristic 2 ------------------------------------------------------
+
+def _digitwise(op, r):
+    """op applied to each base-2 digit pair of two codes, reduced mod 2."""
+    return lambda a, b: sum((op(a // 2 ** i, b // 2 ** i) % 2) * 2 ** i for i in range(r))
+
+
+@pytest.mark.parametrize("r", [1, 2, 10, 11, 16], ids=lambda r: f"GF(2^{r})")
+@pytest.mark.parametrize("dtype", [np.int8, np.int64], ids=lambda d: d.__name__)
+def test_char2_kernels_match_digitwise(r, dtype):
+    # a (30, 10) stack against one factor per row, as rref_batch calls them
+    F = GF(2, r)
+    rng = np.random.default_rng(r)
+    hi = min(F.q, 128)                  # int8 holds the codes below 128
+    a, b = (rng.integers(0, hi, size=(30, 10)).astype(dtype) for _ in range(2))
+    f = rng.integers(0, hi, size=(30, 1)).astype(dtype)
+    a[0], b[1], f[2] = 0, 0, 0
+    add, sub = _digitwise(lambda x, y: x + y, r), _digitwise(lambda x, y: x - y, r)
+    ai, bi = a.ravel().tolist(), b.ravel().tolist()
+    fi = np.broadcast_to(f, a.shape).ravel().tolist()
+    out = F._add_raw(a, b)
+    assert out.dtype == dtype
+    assert out.ravel().tolist() == [add(x, y) for x, y in zip(ai, bi)]
+    out = F._sub_mul_raw(a, f, b)
+    assert out.dtype == (dtype if r == 1 else np.int64)
+    assert out.ravel().tolist() == [sub(x, poly_code_mul(2, F.modulus, g, y))
+                                    for x, g, y in zip(ai, fi, bi)]
+    assert F._add_raw(int(a[2, 3]), int(b[2, 3])) == add(ai[23], bi[23])
+    if r == 1:
+        out = F._mul_raw(a, b)
+        assert out.dtype == dtype
+        assert out.ravel().tolist() == [x * y for x, y in zip(ai, bi)]
+
+
 def test_code_range_checks(F):
     with pytest.raises(ValueError):
         F.mul(0, F.q)
@@ -196,8 +241,8 @@ def test_code_range_checks(F):
 
 
 def test_table_build_memory():
-    # the q x q addition table of GF(2^10) is 8 MB; a (q, q, r) int64 digit
-    # tensor to build it from would take 80 MB
+    # the q x q multiplication table of GF(2^10) is 8 MB (p = 2 builds no
+    # addition table); a (q, q, r) int64 digit tensor would take 80 MB
     tracemalloc.start()
     try:
         GF(2, 10)
@@ -259,12 +304,14 @@ def test_field_tables_match_naive(p, r):
     powers = naive_powers(p, F.modulus, F._gen)
     assert F._exp.tolist() == powers + powers
     assert F._log[powers].tolist() == list(range(q - 1))
-    # the addition table against digit-wise addition, one row at a time
+    # addition against digit-wise addition, one row at a time: the table
+    # gather for p > 2, the XOR for p = 2, which builds no table
     pows = [p ** i for i in range(r)]
     digits = np.array([[(a // w) % p for w in pows] for a in range(q)])
+    assert (F._add_t is None) == (p == 2)
     for a in range(q):
         row = ((digits[a] + digits) % p) @ np.array(pows)
-        assert F._add_t[a].tolist() == row.tolist()
+        assert F._add_raw(a, np.arange(q)).tolist() == row.tolist()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 41, 251, 257])

@@ -20,7 +20,7 @@ from ringforge import gl, rings
 from ringforge import linalg as la
 
 from conftest import prime_spec
-from oracles import brute_structure, iso_exhaustive
+from oracles import brute_structure, iso_exhaustive, ring_mul_scalar
 
 
 def gf4_spec(mats, sigma, theta, lam=0):
@@ -119,15 +119,33 @@ def test_spec_serialization_round_trip():
     assert spec.order == 3 ** 6
 
 
+def _oracle_rings():
+    """GF(2), GF(3), GF(16); GF(4) twisted; GF(2^11) and GF(3^7), q > 1024."""
+    yield Ring(prime_spec(2, [[1]]))
+    yield Ring(prime_spec(3, [[[1, 0], [1, 2]], [[0, 1], [0, 0]]], lam=1))
+    yield Ring(RingSpec(GF(2, 4), 2, 2, 1, np.array([[[1, 0], [0, 1]], [[0, 5], [7, 0]]]),
+                        (1, 1), (2, 2, 3)))
+    yield Ring(gf4_spec([[1]], sigma=(1,), theta=(0, 1), lam=1))
+    yield Ring(RingSpec(GF(2, 11), 2, 1, 1, np.array([[[3, 1000], [0, 2047]]]),
+                        (1, 1), (2, 5)))
+    yield Ring(RingSpec(GF(3, 7), 1, 1, 1, np.array([[[1234]]]), (3,), (6, 2)))
+
+
 def test_mul_batch_matches_scalar():
-    spec = prime_spec(3, [[[1, 0], [1, 2]], [[0, 1], [0, 0]]], lam=1)
-    ring = Ring(spec)
+    # the batched product against the formula evaluated by scalar field ops
     rng = np.random.default_rng(8)
-    X = rng.integers(0, 3, size=(50, ring.n), dtype=np.int64)
-    Y = rng.integers(0, 3, size=(50, ring.n), dtype=np.int64)
-    P = ring.mul_batch(X, Y)
-    for i in range(50):
-        assert tuple(P[i]) == ring.mul(tuple(X[i]), tuple(Y[i]))
+    for ring in _oracle_rings():
+        q, n = ring.field.q, ring.n
+        X = rng.integers(0, q, size=(4, 1, n), dtype=np.int64)
+        Y = rng.integers(0, q, size=(1, 5, n), dtype=np.int64)
+        X[0, 0, 0] = Y[0, 1, 0] = 0
+        P = ring.mul_batch(X, Y)
+        assert P.shape == (4, 5, n) and P.dtype == np.int64
+        for i, j in itertools.product(range(4), range(5)):
+            assert tuple(P[i, j]) == ring_mul_scalar(ring, X[i, 0], Y[0, j])
+        p = ring.mul_batch(X[1, 0], Y[0, 2])
+        assert p.shape == (n,)
+        assert tuple(p) == ring_mul_scalar(ring, X[1, 0], Y[0, 2])
 
 
 def test_table_cap():
@@ -179,6 +197,79 @@ def test_axioms_sampled():
     rep = check_axioms(ring, mode="sampled", seed=11, samples=4000)
     assert rep.ok and rep.mode == "sampled"
     assert rep.checked["associativity"] == 4000
+
+
+class PlantedRing(Ring):
+    """A ring whose product is off by 1 in the F coordinate on planted
+    pairs (x, y)."""
+
+    def __init__(self, spec, pairs):
+        super().__init__(spec)
+        self.pairs = pairs
+
+    def mul_batch(self, X, Y):
+        out = super().mul_batch(X, Y)
+        X, Y = np.broadcast_arrays(X, Y)
+        for x, y in self.pairs:
+            hit = (X == x).all(axis=-1) & (Y == y).all(axis=-1)
+            out[hit, 0] = self.field._add_raw(out[hit, 0], 1)
+        return out
+
+
+def _sampled_triples(ring, seed, samples):
+    # the draw check_axioms makes
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, ring.field.q, size=(samples, ring.n), dtype=np.int64)
+            for _ in range(3)]
+
+
+def _unblocked_failures(ring, X, Y, Z):
+    """Failure masks of the three product laws over all samples at once."""
+    mul, add = ring.mul_batch, ring.add
+    return {
+        "associativity": (mul(mul(X, Y), Z) != mul(X, mul(Y, Z))).any(axis=1),
+        "left_distributivity": (mul(X, add(Y, Z)) != add(mul(X, Y), mul(X, Z))).any(axis=1),
+        "right_distributivity": (mul(add(Y, Z), X) != add(mul(Y, X), mul(Z, X))).any(axis=1),
+    }
+
+
+def test_axioms_sampled_counterexample_across_blocks():
+    # two blocks, the second one partial: an associativity failure planted
+    # in the last block outranks a distributivity failure in the first
+    spec = RingSpec(GF(2, 4), 1, 1, 0, np.array([[[7]]]), (0,), (0,))
+    block, seed = rings._PAIR_BLOCK, 5
+    samples = block + 4321
+    plain = Ring(spec)
+    X, Y, Z = _sampled_triples(plain, seed, samples)
+    late, early = samples - 10, 5
+    ring = PlantedRing(spec, [(X[late], Y[late]),
+                              (X[early], plain.add(Y[early], Z[early]))])
+    bad = _unblocked_failures(ring, X, Y, Z)
+    assert np.flatnonzero(bad["associativity"]).min() >= block
+    assert np.flatnonzero(bad["left_distributivity"]).min() < block
+    i = int(np.flatnonzero(bad["associativity"])[0])
+    rep = check_axioms(ring, mode="sampled", seed=seed, samples=samples)
+    assert not rep.ok and rep.checked["associativity"] == samples
+    assert rep.counterexample == {
+        "law": "associativity",
+        "elements": [tuple(int(v) for v in E[i]) for E in (X, Y, Z)],
+    }
+
+
+def test_axioms_sampled_right_distributivity_only():
+    spec = RingSpec(GF(2, 4), 1, 1, 0, np.array([[[7]]]), (0,), (0,))
+    seed, samples, i = 9, 3000, 1234
+    plain = Ring(spec)
+    X, Y, Z = _sampled_triples(plain, seed, samples)
+    ring = PlantedRing(spec, [(plain.add(Y[i], Z[i]), X[i])])
+    bad = _unblocked_failures(ring, X, Y, Z)
+    assert not bad["associativity"].any() and not bad["left_distributivity"].any()
+    assert np.flatnonzero(bad["right_distributivity"]).tolist() == [i]
+    rep = check_axioms(ring, mode="sampled", seed=seed, samples=samples)
+    assert rep.counterexample == {
+        "law": "right_distributivity",
+        "elements": [tuple(int(v) for v in E[i]) for E in (X, Y, Z)],
+    }
 
 
 def test_axioms_exhaustive_bound():
