@@ -11,6 +11,14 @@ union-find over its image table (``_orbit_roots``).  A subspace sweep,
 the full-group image of each undiscovered orbit, remains as the explicit
 ``strategy="sweep"``.  Everything is deterministic: objects are held in
 ascending key order and every orbit is named by its minimum key.
+
+The BFS of spaces holds its ground set as digit rows, except over GF(2)
+while a key fits int64 (t*s*s <= 62 bits): there a basis is t row words
+read off its key, a generator acts through a table of the images of all
+2^(s*s) words, and images are reduced by XOR (``linalg._rref_words``).
+Such a table is never larger than the ground set's N + 1 codes, or 16
+entries, so it needs no limit of its own.  Both forms give the same keys
+and share ``_bfs_orbits``, ``_orbit_roots`` and ``_ground_index``.
 """
 
 from __future__ import annotations
@@ -162,25 +170,34 @@ def _orbit_roots(dst):
     return parent
 
 
-def _bfs_orbits(s, N, load, actions, locate):
+def _bfs_orbits(N, load, actions, locate, alive):
     """Orbits of the N ground objects as connected components of the graph
     joining each object to the ground index of its image under each
     action, computed in blocks of ``_BFS_CHUNK`` objects, so no image
-    stack of the whole ground set is held.  Returns an iterator of (first
-    index, size, whether a member has no dead index), ascending by first
-    index, so every orbit is named by its minimum."""
+    stack of the whole ground set is held.  ``load(lo, hi)`` returns the
+    block of objects lo..hi-1 in whatever form the actions take, and
+    ``alive`` maps a block to whether each object has no dead index.
+    Returns an iterator of (first index, size, whether a member has no
+    dead index), ascending by first index, so every orbit is named by its
+    minimum."""
     dst = np.empty((N, len(actions)), dtype=np.int32)
     ok = np.empty(N, dtype=bool)
     for lo in range(0, N, _BFS_CHUNK):
-        V = load(lo, min(lo + _BFS_CHUNK, N))
-        ok[lo:lo + len(V)] = ~dead_indices(V.reshape(len(V), -1, s, s)).any(axis=1)
+        hi = min(lo + _BFS_CHUNK, N)
+        V = load(lo, hi)
+        ok[lo:hi] = alive(V)
         for a, act in enumerate(actions):
-            dst[lo:lo + len(V), a] = locate(act(V))
+            dst[lo:hi, a] = locate(act(V))
     parent = _orbit_roots(dst)
     firsts = np.flatnonzero(parent == np.arange(N))
     sizes = np.bincount(parent, minlength=N)[firsts]
     orbit_ok = np.bincount(parent[ok], minlength=N)[firsts] > 0
     return zip(firsts, sizes, orbit_ok)
+
+
+def _no_dead_index(s):
+    """``alive`` for blocks of s x s matrix tuples held as digit rows."""
+    return lambda V: ~dead_indices(V.reshape(len(V), -1, s, s)).any(axis=1)
 
 
 def _check_bfs_budget(F, s, N, what, budget) -> None:
@@ -223,7 +240,8 @@ def classify_congruence(F, s: int, symmetric_only: bool = False,
     actions = [lambda V, P=P: linalg.linmap_apply(F, V, P)
                for P in linalg.kron_batch(F, gl.gl_generators(F, s))]
     classes = []
-    for idx, size, contains in _bfs_orbits(s, N, load, actions, locate):
+    for idx, size, contains in _bfs_orbits(N, load, actions, locate,
+                                           _no_dead_index(s)):
         rep = load(idx, idx + 1).reshape(s, s)
         classes.append(OrbitClass(rep, int(size), bool(contains),
                                   bool((rep == rep.T).all())))
@@ -242,25 +260,27 @@ def classify_congruence(F, s: int, symmetric_only: bool = False,
 
 # -- equivalence orbits of t-dimensional matrix spaces --
 
+def _check_rank(ranks, t) -> None:
+    if (ranks != t).any():
+        raise RuntimeError(f"orbit image lost rank: expected {t}, got {ranks.min()}")
+
+
 def _canon_rows(F, imgs, t):
     """Canonical RREF rows for a stack of bases (N, t, m) of full rank t."""
     R, ranks = linalg.rref_batch(F, imgs)
-    if (ranks != t).any():
-        raise RuntimeError(f"orbit image lost rank: expected {t}, got {ranks.min()}")
+    _check_rank(ranks, t)
     return R
 
 
-def _subspace_orbit_flags(s, t, orbit_rows):
-    arr = orbit_rows.reshape(-1, t, s, s)
-    contains = bool((~dead_indices(arr).any(axis=1)).any())
-    rep = arr[0]
-    commut = bool((rep == rep.transpose(0, 2, 1)).all())
-    return contains, commut
-
-
 def _ground_index(codes, keys):
-    """Positions of keys in the sorted ground-set codes, all of which must occur."""
-    pos = np.minimum(np.searchsorted(codes, keys), len(codes) - 1)
+    """Positions of keys in the sorted ground-set codes, all of which must
+    occur.  The keys are searched in ascending order: numpy's binary search
+    keeps the previous key's lower bound when keys ascend, so sorted keys
+    walk the codes one way and mostly hit cache, several times faster
+    than images in random order."""
+    order = np.argsort(keys)
+    pos = np.empty(len(keys), dtype=np.intp)
+    pos[order] = np.minimum(np.searchsorted(codes, keys[order]), len(codes) - 1)
     if (codes[pos] != keys).any():
         raise RuntimeError("orbit image left the ground set")
     return pos
@@ -290,12 +310,19 @@ def _sweep_subspaces(F, s, t, use_frobenius, rows, codes):
         # orbit minimum
         if pos[0] != idx:
             raise RuntimeError(f"subspace {idx} is not the minimum of its orbit")
-        contains, commut = _subspace_orbit_flags(s, t, rows[pos])
-        out.append((idx, len(keys), contains, commut))
+        out.append((idx, len(keys), _no_dead_index(s)(rows[pos]).any()))
     return out
 
 
 def _bfs_subspaces(F, s, t, use_frobenius, rows, codes):
+    """Generator BFS over the ground set of spaces: on packed row words
+    over GF(2) while the keys fit int64, on digit rows otherwise."""
+    packed = F.q == 2 and codes.dtype != object
+    engine = _packed_bfs_subspaces if packed else _dense_bfs_subspaces
+    return engine(F, s, t, use_frobenius, rows, codes)
+
+
+def _dense_bfs_subspaces(F, s, t, use_frobenius, rows, codes):
     q, m = F.q, s * s
     actions = [lambda V, P=P: _canon_rows(F, linalg.linmap_apply(F, V, P), t)
                for P in linalg.kron_batch(F, gl.gl_generators(F, s))]
@@ -309,12 +336,49 @@ def _bfs_subspaces(F, s, t, use_frobenius, rows, codes):
     def locate(R):
         return _ground_index(codes, linalg.encode_rows(R.reshape(len(R), t * m), q))
 
-    out = []
-    for idx, size, contains in _bfs_orbits(s, len(rows), load, actions, locate):
-        rep = rows[idx].reshape(t, s, s)
-        commut = bool((rep == rep.transpose(0, 2, 1)).all())
-        out.append((int(idx), int(size), bool(contains), commut))
-    return out
+    return _bfs_orbits(len(rows), load, actions, locate, _no_dead_index(s))
+
+
+def _packed_bfs_subspaces(F, s, t, use_frobenius, rows, codes):
+    """The BFS over GF(2) with int64 keys, on row words: a space's key is
+    its t RREF rows of m = s*s bits, concatenated, so row i of a block is
+    read off the ground codes by a shift and a mask.  A generator maps a
+    row word through a table of the images of all 2^m words, built once
+    per call by the dense kernels, so an image block is one gather; the
+    images are reduced by ``linalg._rref_words`` and their words joined
+    back into keys.  The field has no automorphism, so ``use_frobenius``
+    changes nothing, and ``rows`` is not read.
+
+    The tables need no limit of their own: for 1 <= t < m there are at
+    least 2^m - 1 spaces, so a table has at most N + 1 entries, and t = m
+    fits int64 keys only for m <= 7, a table of at most 16 entries."""
+    m = s * s
+    low = (1 << m) - 1
+    shifts = m * np.arange(t - 1, -1, -1)
+    every_row = linalg.decode_codes(np.arange(1 << m), 2, m, np.uint8)
+    tables = [linalg.encode_rows(linalg.linmap_apply(F, every_row, P), 2)
+              for P in linalg.kron_batch(F, gl.gl_generators(F, s))]
+    # index k is dead when every word misses the bits of row k and column k
+    entry_bits = (1 << np.arange(m - 1, -1, -1)).reshape(s, s)
+    masks = [entry_bits[k].sum() | entry_bits[:, k].sum() for k in range(s)]
+
+    def load(lo, hi):
+        return (codes[lo:hi, None] >> shifts) & low
+
+    def alive(W):
+        held = np.bitwise_or.reduce(W, axis=1)
+        return np.logical_and.reduce([(held & mask) != 0 for mask in masks])
+
+    def image(W, table):
+        R, ranks = linalg._rref_words(table[W])
+        _check_rank(ranks, t)
+        return np.bitwise_or.reduce(R << shifts, axis=1)
+
+    def locate(keys):
+        return _ground_index(codes, keys)
+
+    actions = [lambda W, T=T: image(W, T) for T in tables]
+    return _bfs_orbits(len(codes), load, actions, locate, alive)
 
 
 def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
@@ -351,11 +415,13 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
     entries = engine(F, s, t, use_frobenius, rows, linalg.encode_rows(rows, q))
 
     classes = []
-    for idx, size, contains, commut in entries:
+    for idx, size, contains in entries:
         if filter_compatible and not contains:
             continue
         rep = SubspaceKey.from_rref(s, t, rows[idx])
-        classes.append(OrbitClass(rep, size, contains, commut))
+        M = rep.matrices()
+        classes.append(OrbitClass(rep, int(size), bool(contains),
+                                  bool((M == M.transpose(0, 2, 1)).all())))
     covered = sum(c.orbit_size for c in classes)
     if not filter_compatible and covered != N:
         raise RuntimeError(f"orbits cover {covered} of {N} subspaces")

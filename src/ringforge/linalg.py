@@ -19,10 +19,14 @@ and GF(13) at s = 2.
 ``rref_batch`` brings a stack of bases (N, t, m) to reduced row echelon
 form by row-pivot Gauss-Jordan through the ``GF`` raw ops, one step per
 row of the stack, the same code for every field.  It is the one row
-reduction: ``rref`` (and with it ``rank``, ``solve`` and ``inv_mat``) is
-its one-item case.  ``det`` keeps its own elimination, because a
-determinant's value and sign are not part of an RREF.  Each step works on
-whole (N, m) rows, so its numpy overhead does not grow with m.  Prime
+reduction on digit rows: ``rref`` (and with it ``rank``, ``solve`` and
+``inv_mat``) is its one-item case.  The one other is ``_rref_words``,
+the same Gauss-Jordan over GF(2) on rows packed into integer words, where
+a row operation is one XOR; the subspace BFS uses it over GF(2) while a
+space's key fits int64, and ``rref_batch`` everywhere else.  ``det``
+keeps its own elimination, because a determinant's value and sign are
+not part of an RREF.  Each ``rref_batch`` step works on whole (N, m)
+rows, so its numpy overhead does not grow with m.  Prime
 fields are eliminated in the narrow signed dtype of ``_elim_dtype``
 (int8 up to p = 11, int16 up to p = 181), so each step moves less
 memory; the result is int64 like every other array here.
@@ -284,6 +288,39 @@ def rref_batch(F, M):
                 R[:, j] = F._sub_mul_raw(R[:, j], f[:, None], piv)
         ranks += lead != 0
     return R.astype(np.int64, copy=False), ranks
+
+
+def _rref_words(W):
+    """GF(2) reduced row echelon form of a stack of bases held as row words
+    (N, t); returns (words, ranks) like ``rref_batch``.
+
+    Word i packs row i of an item as ``encode_rows`` packs a row for
+    q = 2, first entry in the most significant bit, so a row's leading
+    column is its highest set bit, and a row operation is one XOR.  Step
+    i moves the largest remaining word, the one whose leading column is
+    leftmost, to position i by compare-exchanges.  Every other row x
+    that has the pivot's leading bit set becomes x ^ pivot: x ^ pivot
+    differs from x first at that bit, so it is the smaller of the two
+    exactly when x has the bit, and ``min(x, x ^ pivot)`` clears the
+    column with no search for the bit, exact for words up to 63 bits.
+    A zero pivot (an item whose remaining rows are all zero) changes
+    nothing and is not counted in ``ranks``.  The elimination runs on a
+    (t, N) copy, one contiguous array per row.
+    """
+    W = np.array(np.asarray(W, dtype=np.int64).T)
+    t = len(W)
+    ranks = np.zeros(W.shape[1], dtype=np.int64)
+    for i in range(t):
+        for k in range(t - 1, i, -1):
+            larger = np.maximum(W[k - 1], W[k])
+            np.minimum(W[k - 1], W[k], out=W[k])
+            W[k - 1] = larger
+        piv = W[i]
+        for j in range(t):
+            if j != i:
+                np.minimum(W[j], W[j] ^ piv, out=W[j])
+        ranks += piv != 0
+    return W.T, ranks
 
 
 def encode_rows(rows, q: int):

@@ -224,6 +224,7 @@ def test_auto_runs_bfs_and_checks_budget_first(classified, monkeypatch):
 # blocks of 7 objects put block edges inside orbits and leave a ragged last block
 @pytest.mark.parametrize("call", [
     lambda: classify_subspaces(GF(3), 2, 2),
+    lambda: classify_subspaces(GF(2), 3, 2),
     lambda: classify_subspaces(GF(2, 2), 2, 1),
     lambda: classify_congruence(GF(3), 2),
     lambda: classify_congruence(GF(2, 2), 2, symmetric_only=True),
@@ -232,6 +233,63 @@ def test_bfs_block_size_does_not_change_reports(call, monkeypatch):
     whole = call().to_dict()
     monkeypatch.setattr(classify_module, "_BFS_CHUNK", 7)
     assert call().to_dict() == whole
+
+
+# -- the packed GF(2) engine against the dense one --
+
+def _spy_alive(monkeypatch):
+    """Record, for every BFS run, its ``alive`` mask over the whole ground set."""
+    masks = []
+    real = classify_module._bfs_orbits
+
+    def spy(N, load, actions, locate, alive):
+        masks.append(alive(load(0, N)))
+        return real(N, load, actions, locate, alive)
+
+    monkeypatch.setattr(classify_module, "_bfs_orbits", spy)
+    return masks
+
+
+@pytest.mark.parametrize("s,t,filter_compatible", [
+    (2, 1, False), (2, 2, False), (2, 3, False), (2, 4, False),
+    (3, 1, False), (3, 2, False), (3, 2, True),
+])
+def test_packed_and_dense_engines_give_identical_reports(s, t, filter_compatible,
+                                                         monkeypatch):
+    masks = _spy_alive(monkeypatch)
+    packed_runs = []
+    real_packed = classify_module._packed_bfs_subspaces
+
+    def packed(*args):
+        packed_runs.append(args[1:3])
+        return real_packed(*args)
+
+    monkeypatch.setattr(classify_module, "_packed_bfs_subspaces", packed)
+    F = GF(2)
+    got = json.dumps(classify_subspaces(F, s, t, filter_compatible=filter_compatible)
+                     .to_dict(), sort_keys=True)
+    assert packed_runs == [(s, t)]
+    monkeypatch.setattr(classify_module, "_packed_bfs_subspaces",
+                        classify_module._dense_bfs_subspaces)
+    want = json.dumps(classify_subspaces(F, s, t, filter_compatible=filter_compatible)
+                      .to_dict(), sort_keys=True)
+    assert got == want
+    packed_ok, dense_ok = masks
+    assert len(packed_ok) == gaussian_binomial(s * s, t, 2)
+    assert np.array_equal(packed_ok, dense_ok)
+    if t == 1:
+        # the line of E_11 has a dead index, the line of I none
+        assert dense_ok.any() and not dense_ok.all()
+
+
+def test_gf2_keys_wider_than_int64_keep_the_dense_path(monkeypatch):
+    def no_packed(*args):
+        raise AssertionError("72-bit keys entered the packed engine")
+
+    monkeypatch.setattr(classify_module, "_packed_bfs_subspaces", no_packed)
+    rep = classify_subspaces(GF(2), 3, 8)
+    assert rep.class_count == 11
+    assert rep.total_objects == gaussian_binomial(9, 8, 2)
 
 
 # -- orbit components of the BFS image table --
@@ -277,8 +335,8 @@ def test_bfs_orbits_match_component_oracle(name, monkeypatch):
     firsts, sizes = np.unique(table_components(dst), return_counts=True)
     # node i is loaded as the 1 x 1 matrix [i], so node 0 alone has a dead index
     actions = [lambda V, a=a: dst[V[:, 0], a] for a in range(dst.shape[1])]
-    got = _bfs_orbits(1, len(dst), lambda lo, hi: np.arange(lo, hi)[:, None],
-                      actions, lambda keys: keys)
+    got = _bfs_orbits(len(dst), lambda lo, hi: np.arange(lo, hi)[:, None],
+                      actions, lambda keys: keys, classify_module._no_dead_index(1))
     assert [(int(i), int(n), bool(ok)) for i, n, ok in got] == [
         (int(i), int(n), bool(i > 0 or n > 1)) for i, n in zip(firsts, sizes)]
 

@@ -1,11 +1,13 @@
 from functools import cache
+from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ringforge import GF
 from ringforge import linalg as la
+from ringforge.classify import _check_rank
 from ringforge import gl
 from ringforge.gl import det_batch, enumerate_gl, gl_chunks, gl_generators, gl_order
 
@@ -123,6 +125,48 @@ def test_rref_batch_and_rref_match_oracle(case):
         Ri, piv = la.rref(F, stack[i])
         assert np.array_equal(R[i], Ro) and np.array_equal(Ri, Ro)
         assert ranks[i] == len(pivo) and piv == pivo
+
+
+@st.composite
+def _word_stacks(draw):
+    """Row-word stacks (N, t) of m-bit GF(2) rows with t = 1..5, m = 1..16
+    and t*m <= 62, as the packed BFS holds its keys: some rows zeroed,
+    and some items made rank-deficient by a last row that is the XOR of
+    the others."""
+    t = draw(st.integers(1, 5))
+    m = draw(st.integers(1, min(16, 62 // t)))
+    N = draw(st.integers(0, 6))
+    words = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=N * t, max_size=N * t))
+    W = np.array(words, dtype=np.int64).reshape(N, t)
+    W[np.array(draw(st.lists(st.booleans(), min_size=N * t, max_size=N * t)),
+               dtype=bool).reshape(N, t)] = 0
+    dependent = np.array(draw(st.lists(st.booleans(), min_size=N, max_size=N)), dtype=bool)
+    W[dependent, -1] = np.bitwise_xor.reduce(W[dependent, :-1], axis=1)
+    return m, W
+
+
+# every order of the unit rows: each step's largest word can sit below it
+@example(case=(5, np.array(list(permutations([1, 2, 4, 8, 16])), dtype=np.int64)))
+@settings(max_examples=300, deadline=None)
+@given(case=_word_stacks())
+def test_rref_words_match_oracle(case):
+    m, W = case
+    F = _oracle_field(2, 1)
+    N, t = W.shape
+    R, ranks = la._rref_words(W)
+    assert R.shape == (N, t) and R.dtype == np.int64 and ranks.shape == (N,)
+    bits = la.decode_codes(W, 2, m)
+    oracle_ranks = []
+    for i in range(N):
+        Ro, pivo = rref_scalar(F, bits[i])
+        assert np.array_equal(R[i], la.encode_rows(Ro, 2))
+        oracle_ranks.append(len(pivo))
+    assert ranks.tolist() == oracle_ranks
+    if min(oracle_ranks, default=t) < t:
+        with pytest.raises(RuntimeError, match="lost rank"):
+            _check_rank(ranks, t)
+    else:
+        _check_rank(ranks, t)
 
 
 # -- inverse, det, solve ---------------------------------------------------
