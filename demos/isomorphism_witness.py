@@ -55,11 +55,12 @@ def main():
     print()
 
     # over GF(4) with s = t = 1 the scalar matrices can differ by a unit;
-    # the witness carries the balancing B entry
+    # the search's first candidate, C = [[1]], already matches, and the
+    # witness carries the balancing B entry
     F4 = GF(2, 2)
     a = RingSpec(F4, 1, 1, 0, np.array([[[2]]]), (0,), (0,))
     d = RingSpec(F4, 1, 1, 0, np.array([[[3]]]), (0,), (0,))
-    w3 = iso_test(a, d, mode="s1t1")
+    w3 = iso_test(a, d)
     print("GF(4) scalars a vs a+1 (s = t = 1):")
     print(f"  witness: C={w3.C.tolist()}, B={w3.B.tolist()},"
           f" verified {verify_witness(a, d, w3)}")

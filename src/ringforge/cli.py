@@ -113,17 +113,15 @@ def _cmd_iso(args) -> int:
     specA = _load_spec(args.left)
     specD = _load_spec(args.right)
     try:
-        witness = iso_test(specA, specD, mode=args.mode)
+        witness = iso_test(specA, specD)
     except ValueError as exc:
         msg = str(exc)
         if msg.startswith(("invariant mismatch", "field presentations differ")):
-            _emit(args, {"isomorphic": False, "mode": args.mode, "reason": msg,
-                         "witness": None})
+            _emit(args, {"isomorphic": False, "reason": msg, "witness": None})
             return 0
         raise
     payload = {
         "isomorphic": witness is not None,
-        "mode": args.mode,
         "witness": witness.to_dict() if witness is not None else None,
     }
     _emit(args, payload)
@@ -177,7 +175,7 @@ def _checks(scope: str) -> list:
         F4 = GF(2, 2)
         a = RingSpec(F4, 1, 1, 1, np.array([[[2]]]), (1,), (0, 1))
         d = RingSpec(F4, 1, 1, 1, np.array([[[3]]]), (1,), (0, 1))
-        w = iso_test(a, d, mode="s1t1")
+        w = iso_test(a, d)
         return w is not None and verify_witness(a, d, w, exhaustive=True)
 
     def order16():
@@ -207,7 +205,8 @@ def _checks(scope: str) -> list:
         ("predicted classes, p=5 s=2 t=3", "p+4, open beyond p=2",
          (9, "conjectured"),
          lambda: (lambda pr: (pr.value, pr.status))(predicted_count(5, 1, 2, 3))),
-        ("scalar-ring isomorphism witness", "scalar criterion over GF(4)",
+        ("scalar-ring isomorphism witness",
+         "witness search over GF(4), rechecked on every element pair",
          True, scalar_pair),
         ("axioms of an order-16 presentation", "exhaustive triple walk",
          True, order16),
@@ -227,7 +226,7 @@ def _checks(scope: str) -> list:
             ("plane classes, s=3 t=2 over GF(2)", "generator BFS",
              322, classes(2, 1, 3, 2)),
             ("commutative-capable planes, s=3 t=2 over GF(2)",
-             "all-symmetric classes; sweep, set partition, and Burnside agree",
+             "all-symmetric classes; generator BFS and the subspace sweep agree",
              15, lambda: sum(
                  1 for c in classify_subspaces(GF(2), 3, 2).classes
                  if c.commutative_capable)),
@@ -338,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iso", help="isomorphism test between two presentation files")
     p.add_argument("--left", required=True, help="JSON presentation file")
     p.add_argument("--right", required=True, help="JSON presentation file")
-    p.add_argument("--mode", choices=("central", "global_twist", "s1t1"),
-                   default="central")
     add_format(p)
     p.set_defaults(func=_cmd_iso)
 

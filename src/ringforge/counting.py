@@ -190,7 +190,7 @@ def predicted_count(p: int, r: int, s: int, t: int, lam: int = 0) -> Prediction:
                           "p = 3 and p = 5")
     if cell == (3, 2) and p == 2:
         # no commutative sub-count is recorded for this cell: measurement
-        # (sweep, set partition, and Burnside all agree) gives 15
+        # (generator BFS and the subspace sweep agree) gives 15
         # all-symmetric classes, so consumers should take the figure from
         # classify_subspaces rather than from a stored constant
         return Prediction(p, s, t, 322, None, "verified",

@@ -8,7 +8,7 @@ GF(q)-linear maps that act on many vectors (the group tensor of the
 orbit engines) are held lowered to Z_p, q = p^r: ``lower`` replaces each
 entry c of an (m, m2) matrix by the r x r matrix of multiplication by c,
 whose row i holds the digits of c*x^i, giving an (m*r, m2*r) matrix over
-Z_p.  ``kron`` and ``kron_batch`` return kron(C, C) in this form and
+Z_p.  ``kron_batch`` returns kron(C, C) in this form and
 ``linmap_apply`` applies it to the digit vectors of GF codes as one
 integer matmul mod p, the same code for every field.  A lowered map is
 stored in the smallest unsigned dtype that holds m*r*(p-1)^2, because
@@ -37,8 +37,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "mat", "identity", "mat_mul", "mat_vec", "transpose", "rref", "rank",
-    "det", "inv_mat", "solve", "lower", "kron", "kron_batch",
+    "mat", "identity", "mat_mul", "mat_vec", "rref", "rank",
+    "det", "inv_mat", "solve", "lower", "kron_batch",
     "linmap_apply", "rref_batch", "encode_rows", "decode_codes",
 ]
 
@@ -71,10 +71,6 @@ def mat_mul(F, A, B) -> np.ndarray:
 
 def mat_vec(F, A, v) -> np.ndarray:
     return mat_mul(F, A, np.asarray(v, dtype=np.int64)[:, None])[..., 0]
-
-
-def transpose(A) -> np.ndarray:
-    return np.asarray(A).T
 
 
 def rref(F, M):
@@ -190,15 +186,6 @@ def lower(F, P) -> np.ndarray:
     rows = _mul_table(F, m).reshape(F.q * r, r)
     idx = P[..., :, None, :] * r + np.arange(r)[:, None]     # (..., m, r, m2)
     return np.take(rows, idx, axis=0).reshape(*lead, m * r, m2 * r)
-
-
-def kron(F, A, B) -> np.ndarray:
-    """kron(A, B) over F, lowered to Z_p."""
-    A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
-    (a1, a2), (b1, b2) = A.shape, B.shape
-    out = F._mul_raw(A[:, None, :, None], B[None, :, None, :])
-    return lower(F, out.reshape(a1 * b1, a2 * b2))
 
 
 def kron_batch(F, C) -> np.ndarray:

@@ -476,20 +476,17 @@ class IsoWitness:
 
 
 def _tail_alignment(theta_a, theta_d, t):
-    """Match equal tail exponents; None when the multisets differ."""
-    tail_a = list(theta_a[t:])
-    tail_d = list(theta_d[t:])
-    if sorted(tail_a) != sorted(tail_d):
+    """Source tail slot -> target tail slot, pairing the k-th occurrence of
+    each exponent with its k-th occurrence; None when the multisets differ."""
+    tail_a = np.asarray(theta_a[t:], dtype=np.int64)
+    tail_d = np.asarray(theta_d[t:], dtype=np.int64)
+    order_a = np.argsort(tail_a, kind="stable")
+    order_d = np.argsort(tail_d, kind="stable")
+    if not np.array_equal(tail_a[order_a], tail_d[order_d]):
         return None
-    perm = [-1] * len(tail_a)
-    used = [False] * len(tail_d)
-    for i, e in enumerate(tail_a):
-        for j, f in enumerate(tail_d):
-            if not used[j] and e == f:
-                perm[i] = j
-                used[j] = True
-                break
-    return tuple(perm)
+    perm = np.empty(len(tail_a), dtype=np.int64)
+    perm[order_a] = order_d
+    return tuple(int(j) for j in perm)
 
 
 def _psi_apply(ringA: Ring, witness: IsoWitness, X):
@@ -597,73 +594,39 @@ def _congruence_images(F: GF, rows: np.ndarray, C: np.ndarray) -> np.ndarray:
     return img.reshape(G, t, s, s).transpose(0, 1, 3, 2).reshape(G, t, s * s)
 
 
-def iso_test(specA: RingSpec, specD: RingSpec, mode: str = "central",
-             certify: bool = True) -> IsoWitness | None:
+def iso_test(specA: RingSpec, specD: RingSpec) -> IsoWitness | None:
     """Search for an isomorphism witness; None means no certified witness.
 
-    Modes:
-      central      both presentations have identity automorphisms only
-      global_twist automorphism lists match as multisets; candidate
-                   witnesses must pass the element-map certification
-      s1t1         s = t = 1, decided by the scalar criterion
-
-    In modes central and global_twist the search looks, for each
+    The sigma lists and the structural theta lists must agree as
+    multisets and the tails must align (``_tail_alignment``); then the
+    span invariant of ``_span_invariant`` must agree on both sides, since
+    the pairs it rejects have no witness.  The search looks, for each
     Frobenius power e in turn, for a C in GL(s, q) with
-    span(C^T Frob_e(A_k) C) = span(D_k), then solves for the
-    recombination B and certifies the witness.  Before any search, the
-    span invariant of ``_span_invariant`` must agree on both sides; the
-    pairs it rejects have no such C.  GL(s, q) is walked in the ascending
-    chunks of ``gl.gl_chunks``, each chunk's images are computed directly
-    as C^T A C, and the first certified witness is returned, so memory is
-    bounded by one chunk and the witness is the one an ascending scan of
-    the whole group finds first.  GL(s, q) over ``gl.ENUM_LIMIT`` is
-    refused with a ValueError.
+    span(C^T Frob_e(A_k) C) = span(D_k), solves for the recombination B
+    and returns the first witness ``verify_witness`` certifies.  GL(s, q)
+    is walked in the ascending chunks of ``gl.gl_chunks``, each chunk's
+    images are computed directly as C^T A C, and the scan stops at the
+    first certified witness, so memory is bounded by one chunk and the
+    witness is the one an ascending scan of the whole group finds first.
+    At s = t = 1 that is sigma 0, C = [[1]], B = [[d/a]].  GL(s, q) over
+    ``gl.ENUM_LIMIT`` is refused with a ValueError once the invariant
+    agrees.
     """
     ringA, ringD = Ring(specA), Ring(specD)
     _check_same_invariants(specA, specD)
     F = ringA.field
     s, t = ringA.s, ringA.t
-
-    if mode == "s1t1":
-        if s != 1 or t != 1:
-            raise ValueError(f"mode 's1t1' needs s = t = 1, got s={s}, t={t}")
-        if ringA.sigma != ringD.sigma:
-            return None
-        perm = _tail_alignment(ringA.theta, ringD.theta, t)
-        if perm is None:
-            return None
-        a = int(ringA.matrices[0, 0, 0])
-        d = int(ringD.matrices[0, 0, 0])
-        witness = IsoWitness(
-            sigma=0,
-            C=linalg.identity(1),
-            B=np.array([[F.mul(d, F.inv(a))]], dtype=np.int64),
-            v_perm=perm,
-        )
-        if certify and not verify_witness(specA, specD, witness):
-            return None
-        return witness
-
-    if mode == "central":
-        idA = all(e == 0 for e in ringA.sigma + ringA.theta)
-        idD = all(e == 0 for e in ringD.sigma + ringD.theta)
-        if not (idA and idD):
-            raise ValueError("mode 'central' requires identity automorphisms")
-    elif mode == "global_twist":
-        if sorted(ringA.sigma) != sorted(ringD.sigma):
-            return None
-        if sorted(ringA.theta[:t]) != sorted(ringD.theta[:t]):
-            return None
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    if sorted(ringA.sigma) != sorted(ringD.sigma):
+        return None
+    if sorted(ringA.theta[:t]) != sorted(ringD.theta[:t]):
+        return None
     perm = _tail_alignment(ringA.theta, ringD.theta, t)
     if perm is None:
         return None
-
-    gl._check_enum_limit(F.q, s)
     if not np.array_equal(_span_invariant(F, ringA.matrices),
                           _span_invariant(F, ringD.matrices)):
         return None
+    gl._check_enum_limit(F.q, s)
 
     m = s * s
     D_rows = ringD.matrices.reshape(t, m)
@@ -688,19 +651,19 @@ def iso_test(specA: RingSpec, specD: RingSpec, mode: str = "central",
                     if linalg.det(F, B) == 0:
                         continue
                     witness = IsoWitness(sigma=e, C=Gmats[ci], B=B, v_perm=perm)
-                    if not certify or verify_witness(specA, specD, witness):
+                    if verify_witness(specA, specD, witness):
                         return witness
     return None
 
 
 def equivalent_spec(spec: RingSpec, C, sigma_e: int = 0, B=None,
-                    row_twist: bool = True, tail_perm=None) -> RingSpec:
+                    tail_perm=None) -> RingSpec:
     """The presentation reached by base change C, global Frobenius power
     sigma_e, and structural recombination B; the tail can be permuted.
 
-    Row twisting applies sigma_i to row i of the right-hand C factor, which
-    is what keeps the result a valid presentation whenever the sigma lists
-    make that meaningful; the supported regimes are identity automorphisms,
+    Row i of the right-hand C factor is twisted by sigma_i, which is what
+    keeps the result a valid presentation whenever the sigma lists make
+    that meaningful; the supported regimes are identity automorphisms,
     a shared sigma value with C over its fixed subfield, and s = t = 1.
     Validation happens in the Ring constructor of the result.
     """
@@ -721,9 +684,7 @@ def equivalent_spec(spec: RingSpec, C, sigma_e: int = 0, B=None,
     B = linalg.mat(F, B)
     if linalg.det(F, B) == 0:
         raise ValueError("B is singular")
-    right = C
-    if row_twist:
-        right = np.stack([F.frobenius(C[mu], ring.sigma[mu]) for mu in range(s)])
+    right = np.stack([F.frobenius(C[mu], ring.sigma[mu]) for mu in range(s)])
     twisted = []
     for k in range(t):
         Ak = F.frobenius(ring.matrices[k], sigma_e)

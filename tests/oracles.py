@@ -1,19 +1,20 @@
 """Self-contained reference implementations used as oracles by the tests.
 
 Everything here is deliberately naive and, apart from the scalar field
-ops of ``rref_scalar``, ``gf_table_*`` and ``ring_mul_scalar``, the
-determinants of ``gl_det_filter``, the ring products and scalar ranks of
-``brute_structure`` and the kernels of ``iso_exhaustive`` and
-``congruence_sweep``, independent of the package: plain itertools
-enumeration, float determinants (exact for the sizes and moduli
-involved), python-list elimination, and dictionary-based orbit
-bookkeeping.  ``iso_exhaustive`` is the whole-group isomorphism search
-that ``iso_test`` replaced: it shares no search order, prefilter or
-chunking with it.  ``congruence_sweep`` is the whole-group congruence
-classification that the generator BFS of ``classify_congruence``
-replaced.  ``table_components`` labels the components of a BFS image
-table by a scalar graph search, not the package's union-find.  Slow is
-fine; these only run on small parameters.
+ops of ``rref_scalar``, ``gf_table_*`` and ``ring_mul_scalar``, the raw
+product and lowering of ``kron``, the determinants of ``gl_det_filter``,
+the ring products and scalar ranks of ``brute_structure`` and the
+kernels of ``iso_exhaustive`` and ``congruence_sweep``, independent of
+the package: plain itertools enumeration, float determinants (exact for
+the sizes and moduli involved), python-list elimination, and
+dictionary-based orbit bookkeeping.  ``iso_exhaustive`` is the
+whole-group isomorphism search that ``iso_test`` replaced: it shares no
+search order, prefilter or chunking with it.  ``congruence_sweep`` is
+the whole-group congruence classification that the generator BFS of
+``classify_congruence`` replaced.  ``table_components`` labels the
+components of a BFS image table by a scalar graph search, not the
+package's union-find.  Slow is fine; these only run on small
+parameters.
 """
 
 import itertools
@@ -248,6 +249,18 @@ def gf_table_matmul(F, V, P) -> np.ndarray:
     return out
 
 
+def kron(F, A, B) -> np.ndarray:
+    """kron(A, B) over F, lowered to Z_p: the one-pair reference for
+    ``linalg.kron_batch``, built from the field's raw product."""
+    from ringforge import linalg
+
+    A = np.asarray(A, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
+    (a1, a2), (b1, b2) = A.shape, B.shape
+    out = F._mul_raw(A[:, None, :, None], B[None, :, None, :])
+    return linalg.lower(F, out.reshape(a1 * b1, a2 * b2))
+
+
 def gf_table_kron(F, A, B) -> np.ndarray:
     """kron(A, B) over F through the field's scalar mul table, GF codes."""
     (a1, a2), (b1, b2) = A.shape, B.shape
@@ -393,11 +406,26 @@ def brute_structure(ring):
     return (s + t + lam, rank // F.r, dim_u + t + lam, bool((T == T.T).all()))
 
 
-def iso_exhaustive(specA, specD, mode: str = "central", certify: bool = True):
-    """``iso_test`` in modes central and global_twist by the whole-group
-    search: the lowered kron(C, C) of every element of GL(s, q) at once,
-    every image eliminated, then the candidates in ascending order of C
-    within each Frobenius power.  No invariant prefilter, no chunks."""
+def tail_alignment_greedy(theta_a, theta_d, t):
+    """Tail slot pairing by a first-free scan: each source slot in turn
+    takes the first unused target slot with the same exponent."""
+    tail_a, tail_d = list(theta_a[t:]), list(theta_d[t:])
+    if sorted(tail_a) != sorted(tail_d):
+        return None
+    used = [False] * len(tail_d)
+    perm = []
+    for e in tail_a:
+        j = next(j for j, f in enumerate(tail_d) if not used[j] and f == e)
+        used[j] = True
+        perm.append(j)
+    return tuple(perm)
+
+
+def iso_exhaustive(specA, specD):
+    """``iso_test`` by the whole-group search: the lowered kron(C, C) of
+    every element of GL(s, q) at once, every image eliminated, then the
+    candidates in ascending order of C within each Frobenius power.  No
+    invariant prefilter, no chunks."""
     from ringforge import gl, linalg
     from ringforge.rings import (IsoWitness, Ring, _check_same_invariants,
                                  _tail_alignment, verify_witness)
@@ -406,16 +434,10 @@ def iso_exhaustive(specA, specD, mode: str = "central", certify: bool = True):
     _check_same_invariants(specA, specD)
     F = ringA.field
     s, t = ringA.s, ringA.t
-    if mode == "central":
-        if any(ringA.sigma + ringA.theta) or any(ringD.sigma + ringD.theta):
-            raise ValueError("mode 'central' requires identity automorphisms")
-    elif mode == "global_twist":
-        if sorted(ringA.sigma) != sorted(ringD.sigma):
-            return None
-        if sorted(ringA.theta[:t]) != sorted(ringD.theta[:t]):
-            return None
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    if sorted(ringA.sigma) != sorted(ringD.sigma):
+        return None
+    if sorted(ringA.theta[:t]) != sorted(ringD.theta[:t]):
+        return None
     perm = _tail_alignment(ringA.theta, ringD.theta, t)
     if perm is None:
         return None
@@ -439,6 +461,6 @@ def iso_exhaustive(specA, specD, mode: str = "central", certify: bool = True):
             if linalg.det(F, B) == 0:
                 continue
             witness = IsoWitness(sigma=e, C=Gmats[ci], B=B, v_perm=perm)
-            if not certify or verify_witness(specA, specD, witness):
+            if verify_witness(specA, specD, witness):
                 return witness
     return None

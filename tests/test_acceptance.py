@@ -229,7 +229,7 @@ def test_criterion_09_isomorphism_engine(classified):
                 A = rng.integers(0, q, size=(2, 2), dtype=np.int64)
                 if A.any():
                     break
-            pools.append((F, prime_spec(q, A), "central"))
+            pools.append((F, prime_spec(q, A)))
     F4 = GF(2, 2)
     for _ in range(20):
         a = int(rng.integers(1, 4))
@@ -237,17 +237,17 @@ def test_criterion_09_isomorphism_engine(classified):
         tail = int(rng.integers(0, 2))
         spec = RingSpec(F4, 1, 1, 1, np.array([[[a]]], dtype=np.int64),
                         (e,), (0, tail))
-        pools.append((F4, spec, "global_twist"))
+        pools.append((F4, spec))
 
     witnessed = 0
     for _ in range(1000):
-        F, spec, mode = pools[rng.integers(len(pools))]
+        F, spec = pools[rng.integers(len(pools))]
         s, t = spec.s, spec.t
         C = _random_invertible(rng, F, s)
         B = _random_invertible(rng, F, t)
         sigma_e = int(rng.integers(0, F.r))
         d = equivalent_spec(spec, C, sigma_e=sigma_e, B=B)
-        w = iso_test(spec, d, mode=mode)
+        w = iso_test(spec, d)
         assert w is not None, (F.q, spec.matrices.tolist(), C.tolist())
         assert verify_witness(spec, d, w)
         witnessed += 1

@@ -182,8 +182,10 @@ def test_commutative_capable_means_symmetric_basis(classified):
 
 # -- strategies, budgets --------------------------------------------------
 
+# (2, 3, 2) backs the verify row and the counting note that cite the
+# sweep and the generator BFS for its 15 all-symmetric classes
 @pytest.mark.parametrize("p,s,t", [(3, 2, 1), (2, 2, 2), (3, 2, 2), (2, 2, 3),
-                                   (3, 3, 1)])
+                                   (3, 3, 1), (2, 3, 2)])
 def test_sweep_and_bfs_agree(p, s, t):
     F = GF(p)
     a = classify_subspaces(F, s, t, strategy="sweep")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ringforge import RingSpec
+from ringforge import GF, RingSpec
 from ringforge.cli import main
 
 from conftest import prime_spec
@@ -116,9 +116,24 @@ def test_iso_isomorphic_pair(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "iso", "--left", left, "--right", right)
     assert code == 0
     res = json.loads(out)
+    assert set(res) == {"isomorphic", "witness"}
     assert res["isomorphic"] is True
     w = res["witness"]
     assert set(w) == {"sigma", "C", "B", "v_perm"}
+
+
+def test_iso_twisted_pair_has_no_mode_option(capsys, tmp_path):
+    F4 = GF(2, 2)
+    a = RingSpec(F4, 1, 1, 1, np.array([[[2]]]), (1,), (0, 1))
+    d = RingSpec(F4, 1, 1, 1, np.array([[[3]]]), (1,), (0, 1))
+    left = write_spec(tmp_path, "a.json", a)
+    right = write_spec(tmp_path, "d.json", d)
+    code, out, _ = run_cli(capsys, "iso", "--left", left, "--right", right)
+    assert code == 0
+    assert json.loads(out)["witness"] == {"sigma": 0, "C": [[1]], "B": [[2]],
+                                          "v_perm": [0]}
+    with pytest.raises(SystemExit):
+        main(["iso", "--left", left, "--right", right, "--mode", "central"])
 
 
 def test_iso_distinct_classes(capsys, tmp_path):

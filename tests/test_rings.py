@@ -11,6 +11,7 @@ from ringforge import (
     Ring,
     RingSpec,
     check_axioms,
+    count_s1,
     equivalent_spec,
     iso_test,
     ring_structure,
@@ -20,7 +21,8 @@ from ringforge import gl, rings
 from ringforge import linalg as la
 
 from conftest import prime_spec
-from oracles import brute_structure, iso_exhaustive, ring_mul_scalar
+from oracles import (brute_structure, iso_exhaustive, ring_mul_scalar,
+                     tail_alignment_greedy)
 
 
 def gf4_spec(mats, sigma, theta, lam=0):
@@ -456,6 +458,29 @@ def test_iso_tail_permutation():
     w = iso_test(a, d)
     assert w is not None
     assert sorted(w.v_perm) == [0, 1]
+    # twisted tail slots must go to slots of the same exponent, or the
+    # witness fails certification
+    a = gf4_spec([[1]], sigma=(1,), theta=(0, 1, 1, 0), lam=3)
+    d = equivalent_spec(a, [[1]], tail_perm=(1, 2, 0))
+    assert d.theta == (0, 0, 1, 1)
+    w = iso_test(a, d)
+    assert w is not None and verify_witness(a, d, w)
+    assert w.v_perm == (1, 2, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=st.integers(0, 2), r=st.integers(1, 3), data=st.data())
+def test_tail_alignment_matches_greedy_pairing(t, r, data):
+    lam = data.draw(st.integers(0, 6))
+    theta_a = tuple(data.draw(st.lists(st.integers(0, r - 1), min_size=t + lam,
+                                       max_size=t + lam)))
+    if data.draw(st.booleans()):
+        theta_d = theta_a[:t] + tuple(data.draw(st.permutations(theta_a[t:])))
+    else:
+        theta_d = tuple(data.draw(st.lists(st.integers(0, r - 1), min_size=t + lam,
+                                           max_size=t + lam)))
+    assert rings._tail_alignment(theta_a, theta_d, t) == \
+        tail_alignment_greedy(theta_a, theta_d, t)
 
 
 def test_iso_invariant_mismatch():
@@ -473,50 +498,50 @@ def test_iso_field_presentation_mismatch():
         iso_test(a, d)
 
 
-def test_iso_central_requires_identity():
-    a = gf4_spec([[1]], sigma=(1,), theta=(0,))
-    with pytest.raises(ValueError, match="identity automorphisms"):
-        iso_test(a, a, mode="central")
-
-
 def test_iso_s1t1_scalar_pair():
     a = gf4_spec([[2]], sigma=(0,), theta=(0,))
     d = gf4_spec([[3]], sigma=(0,), theta=(0,))
-    w = iso_test(a, d, mode="s1t1")
+    w = iso_test(a, d)
     assert w is not None
+    # the search's first candidate is the scalar criterion's witness
+    assert (w.sigma, w.C.tolist(), w.v_perm) == (0, [[1]], ())
     assert w.B.tolist() == [[2]]  # 3 / 2 in GF(4)
     assert verify_witness(a, d, w, exhaustive=True)
 
 
-def test_iso_s1t1_requires_dims():
-    a = prime_spec(3, np.eye(2, dtype=np.int64))
-    with pytest.raises(ValueError, match="s1t1"):
-        iso_test(a, a, mode="s1t1")
-
-
-def test_iso_unknown_mode():
-    a = prime_spec(2, [[1]])
-    with pytest.raises(ValueError, match="unknown mode"):
-        iso_test(a, a, mode="sideways")
+@pytest.mark.parametrize("p,r,max_lam", [(2, 2, 2), (3, 2, 2), (2, 3, 1)])
+def test_iso_partitions_scalar_presentations_into_count_s1_classes(p, r, max_lam):
+    # every s = t = 1 presentation: a a unit, any sigma, theta_1 = 2 sigma,
+    # any tail; each is compared only with the class reps found so far
+    F = GF(p, r)
+    for lam in range(max_lam + 1):
+        reps = []
+        for a, sigma, tail in itertools.product(
+                range(1, F.q), range(r), itertools.product(range(r), repeat=lam)):
+            spec = RingSpec(F, 1, 1, lam, np.array([[[a]]], np.int64), (sigma,),
+                            (2 * sigma % r,) + tail)
+            if all(iso_test(rep, spec) is None for rep in reps):
+                reps.append(spec)
+        assert len(reps) == count_s1(r, lam), (F.q, lam)
 
 
 def test_iso_global_twist_round_trip():
     a = gf4_spec([[1]], sigma=(1,), theta=(0, 1), lam=1)
     d = equivalent_spec(a, [[2]], sigma_e=1)
-    w = iso_test(a, d, mode="global_twist")
+    w = iso_test(a, d)
     assert w is not None and verify_witness(a, d, w)
 
 
 def test_iso_global_twist_rejects_tail_mismatch():
     a = gf4_spec([[1]], sigma=(0,), theta=(0, 0), lam=1)
     d = gf4_spec([[1]], sigma=(0,), theta=(0, 1), lam=1)
-    assert iso_test(a, d, mode="global_twist") is None
+    assert iso_test(a, d) is None
 
 
 def test_iso_global_twist_rejects_sigma_mismatch():
     a = gf4_spec([[1]], sigma=(0,), theta=(0,))
     d = gf4_spec([[1]], sigma=(1,), theta=(0,))
-    assert iso_test(a, d, mode="global_twist") is None
+    assert iso_test(a, d) is None
 
 
 def test_witness_rejects_tampering():
@@ -622,7 +647,8 @@ def partner(rng, spec, twisted):
                            tail_perm=tuple(int(i) for i in rng.permutation(spec.lam)))
 
 
-# (p, r, s, t, lambda, mode); s <= 3 wherever GL(s, q) is within ENUM_LIMIT
+# (p, r, s, t, lambda, presentations); s <= 3 wherever GL(s, q) is within
+# ENUM_LIMIT
 ISO_ORACLE_CELLS = [
     (2, 1, 1, 1, 1, "central"), (2, 1, 2, 1, 1, "central"),
     (2, 1, 3, 2, 1, "central"), (2, 1, 3, 3, 0, "central"),
@@ -634,23 +660,23 @@ ISO_ORACLE_CELLS = [
     (5, 1, 2, 2, 1, "central"),
     (2, 3, 2, 1, 0, "central"), (2, 3, 2, 2, 1, "central"),
     (3, 2, 2, 1, 1, "central"), (3, 2, 2, 3, 0, "central"),
-    (2, 2, 2, 1, 1, "global_twist"), (2, 3, 2, 2, 0, "global_twist"),
-    (3, 2, 2, 1, 1, "global_twist"),
+    (2, 2, 2, 1, 1, "twisted"), (2, 3, 2, 2, 0, "twisted"),
+    (3, 2, 2, 1, 1, "twisted"),
 ]
 
 
 def test_iso_matches_exhaustive_oracle():
     seen = set()
-    for p, r, s, t, lam, mode in ISO_ORACLE_CELLS:
+    for p, r, s, t, lam, kind in ISO_ORACLE_CELLS:
         F = GF(p, r)
-        twisted = mode == "global_twist"
+        twisted = kind == "twisted"
         make = twisted_spec if twisted else central_spec
         rng = np.random.default_rng([p, r, s, t, lam, twisted])
         for _ in range(2):
             a = make(rng, F, s, t, lam)
             for d in (partner(rng, a, twisted), make(rng, F, s, t, lam)):
-                got = iso_test(a, d, mode=mode)
-                want = iso_exhaustive(a, d, mode=mode)
+                got = iso_test(a, d)
+                want = iso_exhaustive(a, d)
                 assert (got is None) == (want is None), (a, d)
                 if got is not None:
                     assert got.sigma == want.sigma
@@ -688,10 +714,27 @@ def test_span_invariant_rejects_before_any_search(monkeypatch):
     assert la.rank(GF(5), a.matrices[0]) == 3
     assert la.rank(GF(5), d.matrices[0]) == 2
     assert iso_test(a, d) is None
-    # the enumeration limit still comes first
+    # a pair the invariant separates needs no enumeration, at any limit
+    monkeypatch.setattr(gl, "ENUM_LIMIT", 100)
+    assert iso_test(a, d) is None
+    monkeypatch.undo()
+    # GL(3, 7) is over the default limit
+    assert iso_test(prime_spec(7, np.eye(3, dtype=np.int64)),
+                    prime_spec(7, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])) is None
+
+
+def test_enum_limit_refuses_pairs_the_invariant_cannot_separate(monkeypatch):
+    a = prime_spec(5, [[1, 2, 0], [0, 1, 3], [1, 0, 1]])
+    d = equivalent_spec(a, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    assert np.array_equal(rings._span_invariant(GF(5), a.matrices),
+                          rings._span_invariant(GF(5), d.matrices))
     monkeypatch.setattr(gl, "ENUM_LIMIT", 100)
     with pytest.raises(ValueError, match=r"ringforge\.gl\.ENUM_LIMIT"):
         iso_test(a, d)
+    monkeypatch.undo()
+    a = prime_spec(7, np.eye(3, dtype=np.int64))
+    with pytest.raises(ValueError, match=r"ringforge\.gl\.ENUM_LIMIT"):
+        iso_test(a, equivalent_spec(a, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
 
 
 def test_pair_tables_and_exhaustive_witness_memory():
