@@ -165,7 +165,7 @@ class GF:
             e >>= 1
         return out
 
-    def _mul_matrices(self, c, dtype=np.int64):
+    def _mul_matrices(self, c):
         """Multiplication by each code in c as an r x r matrix over Z_p.
 
         Row i of M(c) holds the digits of c*x^i, so digits(y) @ M(c) is
@@ -173,7 +173,7 @@ class GF:
         """
         p, r = self.p, self.r
         c = np.asarray(c, dtype=np.int64)
-        out = np.empty(c.shape + (r, r), dtype=dtype)
+        out = np.empty(c.shape + (r, r), dtype=np.int64)
         row = self._digits[c]
         for i in range(r):
             if i:

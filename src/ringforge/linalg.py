@@ -1,6 +1,7 @@
 """Exact linear algebra over a GF instance.
 
-Matrices and vectors are numpy int64 arrays of element codes.  ``det``
+Matrices and vectors are numpy int64 arrays of element codes; only the
+lowered maps below are held in floats.  ``det``
 runs a plain python elimination (its matrices are tiny); the batched
 helpers carry the orbit engine and are vectorized over the leading axes.
 
@@ -9,12 +10,11 @@ orbit engines) are held lowered to Z_p, q = p^r: ``lower`` replaces each
 entry c of an (m, m2) matrix by the r x r matrix of multiplication by c,
 whose row i holds the digits of c*x^i, giving an (m*r, m2*r) matrix over
 Z_p.  ``kron_batch`` returns kron(C, C) in this form and
-``linmap_apply`` applies it to the digit vectors of GF codes as one
-integer matmul mod p, the same code for every field.  A lowered map is
-stored in the smallest unsigned dtype that holds m*r*(p-1)^2, because
-numpy integer matmul accumulates in its output dtype: uint8 for GF(4)
-and GF(5) at s = 3 (m = 9), uint16 for GF(7) at s = 3 and for GF(11)
-and GF(13) at s = 2.
+``linmap_apply`` applies it to the digit vectors of GF codes as a float
+matmul (BLAS) reduced mod p, the same code for every field.  A lowered
+map is stored in float32 while a dot product's bound m*r*(p-1)^2 is
+below 2^24, in float64 below 2^53 (``_lowered_dtype``), so every sum of
+integer terms is exact; numpy's integer matmul does not use BLAS.
 
 ``rref_batch`` brings a stack of bases (N, t, m) to reduced row echelon
 form by row-pivot Gauss-Jordan through the ``GF`` raw ops, one step per
@@ -44,6 +44,8 @@ __all__ = [
 
 # group elements lowered per step of kron_batch
 _KRON_CHUNK = 8192
+# rows of vectors multiplied per matmul of linmap_apply
+_APPLY_BLOCK = 8192
 # rows widened to int64 per step of encode_rows
 _ENCODE_CHUNK = 1 << 16
 
@@ -142,16 +144,19 @@ def solve(F, A, b):
 
 
 def _lowered_dtype(F, m: int):
-    """Smallest unsigned dtype holding a length m*r dot product of digits.
+    """Float dtype in which a length m*r dot product of digits is exact.
 
-    numpy integer matmul accumulates in its output dtype, so the bound is
-    the whole sum m*r*(p-1)^2, not just one entry.
+    Every term of the dot product is a nonnegative integer and so is every
+    partial sum, none above the bound m*r*(p-1)^2; a float holds every
+    integer up to 2^24 (float32) or 2^53 (float64) exactly, so the sum is
+    exact in any summation order, fused multiply-adds included.
     """
     bound = m * F.r * (F.p - 1) ** 2
-    for dt in (np.uint8, np.uint16, np.uint32, np.uint64):
-        if bound <= np.iinfo(dt).max:
+    for dt, bits in ((np.float32, 24), (np.float64, 53)):
+        if bound < 1 << bits:
             return np.dtype(dt)
-    raise ValueError(f"a length {m * F.r} dot product over Z_{F.p} overflows uint64")
+    raise ValueError(f"a length {m * F.r} dot product over Z_{F.p} reaches {bound}, "
+                     f"past the 2^53 that float64 holds exactly")
 
 
 def _elim_dtype(F):
@@ -167,25 +172,23 @@ def _elim_dtype(F):
     return np.dtype(np.int64)
 
 
-def _mul_table(F, m: int) -> np.ndarray:
-    # M(c) for every code c, (q, r, r), in the dtype of an m-row lowered map
-    return F._mul_matrices(np.arange(F.q), _lowered_dtype(F, m))
-
-
 def lower(F, P) -> np.ndarray:
     """A GF(q) matrix stack (..., m, m2) as Z_p matrices (..., m*r, m2*r).
 
     Block (k, j) is the multiplication-by-P[k, j] matrix, whose row i holds
     the digits of P[k, j]*x^i; the dtype is ``_lowered_dtype(F, m)``.
+    Row i of every block comes from one product of the whole stack by x,
+    so a call costs O(|P| r^2), the size of its output, whatever q is.
     """
     P = np.asarray(P, dtype=np.int64)
     *lead, m, m2 = P.shape
     r = F.r
-    # row i of block (k, j) is row P[k, j]*r + i of the stacked M(c) rows,
-    # so one gather writes the output in its final order
-    rows = _mul_table(F, m).reshape(F.q * r, r)
-    idx = P[..., :, None, :] * r + np.arange(r)[:, None]     # (..., m, r, m2)
-    return np.take(rows, idx, axis=0).reshape(*lead, m * r, m2 * r)
+    out = np.empty((*lead, m, r, m2, r), dtype=_lowered_dtype(F, m))
+    for i in range(r):
+        if i:
+            P = F._mul_raw(P, F.p)          # the code of x is p
+        out[..., i, :, :] = np.take(F._digits, P, axis=0)
+    return out.reshape(*lead, m * r, m2 * r)
 
 
 def kron_batch(F, C) -> np.ndarray:
@@ -207,31 +210,69 @@ def kron_batch(F, C) -> np.ndarray:
     return out
 
 
-def linmap_apply(F, V, L) -> np.ndarray:
-    """Broadcasted V @ P over F with P lowered (L = lower(F, P)):
-    (..., m) codes x (G, m*r, m2*r) -> (G, ..., m2) codes.
+def _digit_rows(digits, V):
+    # (..., m) codes -> (..., m*r) digits, digit i of V[..., k] in column
+    # k*r + i, gathered from the (q, r) digit table ``digits``
+    return np.take(digits, V, axis=0).reshape(V.shape[:-1] + (-1,))
 
-    One integer matmul mod p on the digits of V, in L's dtype.  V may be
-    held in any integer dtype (the ground set is narrow); the output is
-    int64.
+
+def _digit_codes(F, Y):
+    # integer-valued digit sums (..., m2*r) -> codes (..., m2), still as
+    # floats: each sum mod p, then digit i of entry j (column j*r + i)
+    # recombined; the caller stores them into its int64 output
+    p, r = F.p, F.r
+    Y -= p * np.floor(Y / p)
+    codes = Y[..., r - 1::r]
+    for i in range(r - 2, -1, -1):
+        codes = codes * p + Y[..., i::r]
+    return codes
+
+
+def linmap_apply(F, V, L) -> np.ndarray:
+    """V @ P over F with P lowered (L = lower(F, P)), as int64 codes:
+    (..., m) x (m*r, m2*r) -> (..., m2) for one map, and for a stack of
+    maps (G, m*r, m2*r) either one V (m,) or (n, m) against every map ->
+    (G, m2) or (G, n, m2), or one V per map (G, n, m) -> (G, n, m2).
+
+    Each product is a float matmul (BLAS) on the digits of V, in L's
+    dtype: ``_lowered_dtype`` makes every dot product exact.  Its integer
+    result x is reduced as x - p*floor(x/p), also exact: x/p is correctly
+    rounded, and since x < 2^24 (2^53 in float64) half an ulp of x/p is
+    below 1/p, so k + j/p (j < p) cannot round up to k + 1; p*floor(x/p)
+    and the difference are integers below the bound.  The r digits of an
+    entry are then recombined into a code below q <= 2^16, again exact.
+    One map is applied to all rows of V as one 2-D matmul per block of
+    ``_APPLY_BLOCK`` rows; a stack of maps is applied in blocks of maps
+    holding about as many rows, so float temporaries stay bounded.  V may
+    be held in any integer dtype (the ground set is narrow).
     """
     V = np.asarray(V)
-    p, r = F.p, F.r
+    r = F.r
     m = V.shape[-1]
     if L.shape[-2] != m * r:
         raise ValueError(f"lowered map has {L.shape[-2]} rows, expected {m * r}")
-    D = np.empty(V.shape + (r,), dtype=L.dtype)
-    for i in range(r - 1):
-        V, D[..., i] = np.divmod(V, p)
-    D[..., r - 1] = V               # codes are < p^r: the rest is the top digit
-    out = np.matmul(D.reshape(D.shape[:-2] + (m * r,)), L)
-    out %= p
-    # digit i of output entry j sits in column j*r + i
-    codes = out[..., r - 1::r].astype(np.int64)
-    for i in range(r - 2, -1, -1):
-        codes *= p
-        codes += out[..., i::r]
-    return codes
+    m2 = L.shape[-1] // r
+    # digits in L's dtype, cast per call: GF keeps no float tables
+    digits = F._digits.astype(L.dtype)
+    if L.ndim == 2:
+        rows = V.reshape(-1, m)
+        out = np.empty((len(rows), m2), dtype=np.int64)
+        for lo in range(0, len(rows), _APPLY_BLOCK):
+            X = _digit_rows(digits, rows[lo:lo + _APPLY_BLOCK])
+            out[lo:lo + len(X)] = _digit_codes(F, X @ L)
+        return out.reshape(V.shape[:-1] + (m2,))
+    G = len(L)
+    stacked = V.ndim > 2
+    if L.ndim != 3 or (stacked and V.shape[:-2] != (G,)):
+        raise ValueError(f"cannot apply a map stack {L.shape} to vectors {V.shape}")
+    shape = V.shape[1:-1] if stacked else V.shape[:-1]
+    out = np.empty((G,) + shape + (m2,), dtype=np.int64)
+    step = max(1, _APPLY_BLOCK // max(1, int(np.prod(shape))))
+    X = None if stacked else _digit_rows(digits, V)
+    for lo in range(0, G, step):
+        Xb = _digit_rows(digits, V[lo:lo + step]) if stacked else X
+        out[lo:lo + step] = _digit_codes(F, np.matmul(Xb, L[lo:lo + step]))
+    return out
 
 
 def rref_batch(F, M):

@@ -240,8 +240,8 @@ def test_kron_batch_matches_scalar(monkeypatch):
 
 
 def test_lower_blocks_are_multiplication_matrices():
-    # block row i of c is the digits of c*x^i
-    for F in (GF(2, 2), GF(3, 2), GF(2, 4), GF(3, 3), GF(7)):
+    # block row i of c is the digits of c*x^i; GF(3^7) multiplies by log/exp
+    for F in (GF(2, 2), GF(3, 2), GF(2, 4), GF(3, 3), GF(7), GF(3, 7)):
         L = la.lower(F, np.arange(F.q).reshape(F.q, 1, 1))
         for c in range(F.q):
             for i in range(F.r):
@@ -249,19 +249,26 @@ def test_lower_blocks_are_multiplication_matrices():
                 assert tuple(int(x) for x in L[c, i]) == want
 
 
-# (p, r, m, dtype): m*r*(p-1)^2 on both sides of the uint8 bound 255
+# (p, r, m, narrow, lowered): V is also held in the unsigned dtype
+# narrow, and the lowered map is float32 while the dot-product bound
+# m*r*(p-1)^2 is below 2^24, float64 below 2^53; 1361 and 1367 sit on
+# either side of 2^24 at m = 9
 DTYPE_CASES = [
-    (2, 1, 9, np.uint8), (7, 1, 7, np.uint8), (7, 1, 9, np.uint16),
-    (13, 1, 1, np.uint8), (13, 1, 4, np.uint16), (11, 1, 4, np.uint16),
-    (5, 1, 9, np.uint8), (2, 2, 9, np.uint8), (3, 2, 9, np.uint8),
-    (3, 2, 31, np.uint8), (3, 2, 32, np.uint16), (2, 4, 4, np.uint8),
-    (2, 4, 63, np.uint8), (2, 4, 64, np.uint16), (3, 3, 4, np.uint8),
+    (2, 1, 9, np.uint8, np.float32), (7, 1, 7, np.uint8, np.float32),
+    (7, 1, 9, np.uint16, np.float32), (13, 1, 1, np.uint8, np.float32),
+    (13, 1, 4, np.uint16, np.float32), (11, 1, 4, np.uint16, np.float32),
+    (5, 1, 9, np.uint8, np.float32), (2, 2, 9, np.uint8, np.float32),
+    (3, 2, 9, np.uint8, np.float32), (3, 2, 31, np.uint8, np.float32),
+    (3, 2, 32, np.uint16, np.float32), (2, 4, 4, np.uint8, np.float32),
+    (2, 4, 63, np.uint8, np.float32), (2, 4, 64, np.uint16, np.float32),
+    (3, 3, 4, np.uint8, np.float32), (1361, 1, 9, np.uint16, np.float32),
+    (1367, 1, 9, np.uint16, np.float64), (65521, 1, 4, np.uint16, np.float64),
 ]
 
 
-@pytest.mark.parametrize("p,r,m,dtype", DTYPE_CASES,
-                         ids=lambda v: getattr(v, "__name__", str(v)))
-def test_linmap_apply_matches_table_oracle(p, r, m, dtype):
+@pytest.mark.parametrize("p,r,m,narrow,lowered", DTYPE_CASES,
+                         ids=[f"{p}-{r}-{m}-{v.__name__}" for p, r, m, v, _ in DTYPE_CASES])
+def test_linmap_apply_matches_table_oracle(p, r, m, narrow, lowered):
     F = GF(p, r)
     rng = np.random.default_rng(p * 100 + r * 10 + m)
     m2 = 3
@@ -271,18 +278,55 @@ def test_linmap_apply_matches_table_oracle(p, r, m, dtype):
     P[0] = p - 1
     V[0] = F.q - 1
     L = la.lower(F, P)
-    assert L.dtype == dtype
+    assert L.dtype == lowered
     assert L.shape == (4, m * r, m2 * r)
     out = la.linmap_apply(F, V, L)
     assert out.shape == (4, 5, m2)
     assert out.dtype == np.int64
     for g in range(4):
         assert np.array_equal(out[g], gf_table_matmul(F, V, P[g]))
+    assert np.array_equal(la.linmap_apply(F, V.astype(narrow), L), out)
     # a batch of vector stacks against one map
     single = la.linmap_apply(F, V.reshape(5, 1, m), L[1])
     assert np.array_equal(single.reshape(5, m2), gf_table_matmul(F, V, P[1]))
     zero = la.linmap_apply(F, np.zeros(m, dtype=np.int64), L)
     assert zero.shape == (4, m2) and not zero.any()
+
+
+def test_lowered_dtype_past_float64_names_the_bound():
+    F = GF(65521)
+    with pytest.raises(ValueError, match=r"reaches \d+, past the 2\^53"):
+        la.lower(F, np.broadcast_to(0, (1 << 22, 1)))
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (2, 2), (2, 4), (13, 1)])
+def test_linmap_apply_blocks_and_stacks(p, r, monkeypatch):
+    # blocks of 7 rows: every shape below spans several blocks and ends
+    # in a partial one
+    monkeypatch.setattr(la, "_APPLY_BLOCK", 7)
+    F = GF(p, r)
+    rng = np.random.default_rng(p + 10 * r)
+    m, m2, G = 4, 3, 11
+    P = rng.integers(0, F.q, size=(G, m, m2), dtype=np.int64)
+    L = la.lower(F, P)
+    # one map, more rows than a block
+    V = rng.integers(0, F.q, size=(50, m), dtype=np.int64)
+    assert np.array_equal(la.linmap_apply(F, V, L[0]), gf_table_matmul(F, V, P[0]))
+    # one vector stack per map: each slice is the one-map result
+    W = rng.integers(0, F.q, size=(G, 3, m), dtype=np.int64)
+    out = la.linmap_apply(F, W, L)
+    assert out.shape == (G, 3, m2)
+    for g in range(G):
+        assert np.array_equal(out[g], la.linmap_apply(F, W[g], L[g]))
+    # one V broadcast against every map, as a stack and as a vector
+    out = la.linmap_apply(F, V[:3], L)
+    vec = la.linmap_apply(F, V[0], L)
+    assert out.shape == (G, 3, m2) and vec.shape == (G, m2)
+    for g in range(G):
+        assert np.array_equal(out[g], gf_table_matmul(F, V[:3], P[g]))
+        assert np.array_equal(vec[g], out[g, 0])
+    with pytest.raises(ValueError, match="cannot apply a map stack"):
+        la.linmap_apply(F, W[:5], L)
 
 
 def test_linmap_apply_rejects_unlowered_map():
