@@ -12,13 +12,15 @@ the full-group image of each undiscovered orbit, remains as the explicit
 ``strategy="sweep"``.  Everything is deterministic: objects are held in
 ascending key order and every orbit is named by its minimum key.
 
-The BFS of spaces holds its ground set as digit rows, except over GF(2)
-while a key fits int64 (t*s*s <= 62 bits): there a basis is t row words
-read off its key, a generator acts through a table of the images of all
-2^(s*s) words, and images are reduced by XOR (``linalg._rref_words``).
-Such a table is never larger than the ground set's N + 1 codes, or 16
-entries, so it needs no limit of its own.  Both forms give the same keys
-and share ``_bfs_orbits``, ``_orbit_roots`` and ``_ground_index``.
+The ground set of spaces is held as its sorted keys only
+(``matspace.subspace_rows``).  The BFS decodes one block of them at a
+time into digit rows, except over GF(2) while a key fits int64
+(t*s*s <= 62 bits): there a basis is t row words read off its key, a
+generator acts through a table of the images of all 2^(s*s) words, and
+images are reduced by XOR (``linalg._rref_words``).  Such a table is
+never larger than the ground set's N + 1 codes, or 16 entries, so it
+needs no limit of its own.  Both forms give the same keys and share
+``_bfs_orbits``, ``_orbit_roots`` and ``_ground_index``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import gl, linalg
 from .counting import gaussian_binomial
-from .matspace import SubspaceKey, dead_indices, subspace_rows
+from .matspace import SubspaceKey, subspace_rows
 
 __all__ = [
     "BudgetExceededError", "OrbitClass", "ClassReport", "OrbitResult",
@@ -40,7 +42,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 10 ** 12
 ENV_BUDGET = "RINGFORGE_BUDGET"
-_GROUND_LIMIT = 5 * 10 ** 6    # dense ground sets larger than this are refused
+_GROUND_BYTES = 1 << 30       # bytes; a BFS predicted to peak above this is refused
 _BFS_CHUNK = 1 << 16           # objects per block of a BFS image pass
 
 
@@ -62,11 +64,17 @@ def _over_budget(what, budget) -> BudgetExceededError:
     )
 
 
-def _over_ground_limit(n, what) -> BudgetExceededError:
-    return BudgetExceededError(
-        f"ground set of {n} {what} exceeds the dense ground-set limit of "
-        f"{_GROUND_LIMIT} (change it with ringforge.classify._GROUND_LIMIT)"
-    )
+def _check_ground_bytes(N, what, code_bytes, n_actions, entries) -> None:
+    """Refuse a BFS whose predicted peak is over ``_GROUND_BYTES``: N codes,
+    the (N, n_actions) int32 image table, about 32 bytes an object for the
+    union-find's gathers and compares, and one block's temporaries, about
+    eight int64 copies of each object's ``entries`` digits."""
+    need = N * (code_bytes + 4 * n_actions + 32) + _BFS_CHUNK * entries * 64
+    if need > _GROUND_BYTES:
+        raise BudgetExceededError(
+            f"ground set of {N} {what} needs about {need} bytes, over the "
+            f"ground-set limit of {_GROUND_BYTES} bytes "
+            f"(change it with ringforge.classify._GROUND_BYTES)")
 
 
 @dataclass
@@ -196,8 +204,13 @@ def _bfs_orbits(N, load, actions, locate, alive):
 
 
 def _no_dead_index(s):
-    """``alive`` for blocks of s x s matrix tuples held as digit rows."""
-    return lambda V: ~dead_indices(V.reshape(len(V), -1, s, s)).any(axis=1)
+    """``alive`` for blocks of tuples held as digit rows: the entries nonzero
+    in some member times the (s*s, s) row-or-column incidence matrix, in
+    uint8 (a float product copies the block), count each index's entries."""
+    i, j = np.divmod(np.arange(s * s), s)
+    incidence = np.uint8((i[:, None] == np.arange(s)) | (j[:, None] == np.arange(s)))
+    return lambda V: ((V.reshape(len(V), -1, s * s) != 0).any(1).view(np.uint8)
+                      @ incidence > 0).all(1)
 
 
 def _check_bfs_budget(F, s, N, what, budget) -> None:
@@ -217,9 +230,8 @@ def classify_congruence(F, s: int, symmetric_only: bool = False,
         raise ValueError(f"s must be >= 1, got {s}")
     q, m = F.q, s * s
     N = q ** (s * (s + 1) // 2) if symmetric_only else q ** m
-    if N > _GROUND_LIMIT:
-        raise _over_ground_limit(N, "matrices")
     _check_bfs_budget(F, s, N, "congruence", resolve_budget(budget))
+    _check_ground_bytes(N, "matrices", 8, len(gl.gl_generators(F, s)), m)
 
     if symmetric_only:
         upper = [i * s + j for i in range(s) for j in range(i, s)]
@@ -286,18 +298,18 @@ def _ground_index(codes, keys):
     return pos
 
 
-def _sweep_subspaces(F, s, t, use_frobenius, rows, codes):
+def _sweep_subspaces(F, s, t, use_frobenius, codes):
     q, m = F.q, s * s
     Gmats = gl.enumerate_gl(F, s)
     P = linalg.kron_batch(F, Gmats)
     exps = list(F.automorphism_exponents()) if (use_frobenius and F.r > 1) else [0]
-    N = len(rows)
+    N = len(codes)
     visited = np.zeros(N, dtype=bool)
     out = []
     for idx in range(N):
         if visited[idx]:
             continue
-        V = rows[idx].reshape(t, m)
+        V = linalg.decode_codes(codes[idx], q, t * m).reshape(t, m)
         keys_per_exp = []
         for e in exps:
             imgs = linalg.linmap_apply(F, F._frob_raw(V, e), P)
@@ -310,19 +322,20 @@ def _sweep_subspaces(F, s, t, use_frobenius, rows, codes):
         # orbit minimum
         if pos[0] != idx:
             raise RuntimeError(f"subspace {idx} is not the minimum of its orbit")
-        out.append((idx, len(keys), _no_dead_index(s)(rows[pos]).any()))
+        members = linalg.decode_codes(codes[pos], q, t * m)
+        out.append((idx, len(keys), _no_dead_index(s)(members).any()))
     return out
 
 
-def _bfs_subspaces(F, s, t, use_frobenius, rows, codes):
+def _bfs_subspaces(F, s, t, use_frobenius, codes):
     """Generator BFS over the ground set of spaces: on packed row words
     over GF(2) while the keys fit int64, on digit rows otherwise."""
     packed = F.q == 2 and codes.dtype != object
     engine = _packed_bfs_subspaces if packed else _dense_bfs_subspaces
-    return engine(F, s, t, use_frobenius, rows, codes)
+    return engine(F, s, t, use_frobenius, codes)
 
 
-def _dense_bfs_subspaces(F, s, t, use_frobenius, rows, codes):
+def _dense_bfs_subspaces(F, s, t, use_frobenius, codes):
     q, m = F.q, s * s
     actions = [lambda V, P=P: _canon_rows(F, linalg.linmap_apply(F, V, P), t)
                for P in linalg.kron_batch(F, gl.gl_generators(F, s))]
@@ -331,15 +344,16 @@ def _dense_bfs_subspaces(F, s, t, use_frobenius, rows, codes):
         actions.append(lambda V: F._frob_raw(V, 1))
 
     def load(lo, hi):
-        return rows[lo:hi].reshape(-1, t, m)
+        V = linalg.decode_codes(codes[lo:hi], q, t * m, np.min_scalar_type(q - 1))
+        return V.reshape(-1, t, m)
 
     def locate(R):
         return _ground_index(codes, linalg.encode_rows(R.reshape(len(R), t * m), q))
 
-    return _bfs_orbits(len(rows), load, actions, locate, _no_dead_index(s))
+    return _bfs_orbits(len(codes), load, actions, locate, _no_dead_index(s))
 
 
-def _packed_bfs_subspaces(F, s, t, use_frobenius, rows, codes):
+def _packed_bfs_subspaces(F, s, t, use_frobenius, codes):
     """The BFS over GF(2) with int64 keys, on row words: a space's key is
     its t RREF rows of m = s*s bits, concatenated, so row i of a block is
     read off the ground codes by a shift and a mask.  A generator maps a
@@ -347,7 +361,7 @@ def _packed_bfs_subspaces(F, s, t, use_frobenius, rows, codes):
     per call by the dense kernels, so an image block is one gather; the
     images are reduced by ``linalg._rref_words`` and their words joined
     back into keys.  The field has no automorphism, so ``use_frobenius``
-    changes nothing, and ``rows`` is not read.
+    changes nothing.
 
     The tables need no limit of their own: for 1 <= t < m there are at
     least 2^m - 1 spaces, so a table has at most N + 1 entries, and t = m
@@ -397,10 +411,8 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
         strategy = "bfs"
     if strategy not in ("sweep", "bfs"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    q = F.q
+    q, n = F.q, t * m
     N = gaussian_binomial(m, t, q)
-    if N > _GROUND_LIMIT:
-        raise _over_ground_limit(N, "subspaces")
     budget = resolve_budget(budget)
     if strategy == "bfs":
         _check_bfs_budget(F, s, N, "subspace", budget)
@@ -410,19 +422,20 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
         if sweep_actions > budget:
             raise _over_budget(f"subspace sweep needs {sweep_actions} actions", budget)
         engine = _sweep_subspaces
+    # keys wider than int64 are python ints behind object pointers
+    code_bytes = 8 if n * np.log2(q) <= 62 else 8 + (q ** n).__sizeof__()
+    n_actions = len(gl.gl_generators(F, s)) + (use_frobenius and F.r > 1)
+    _check_ground_bytes(N, "subspaces", code_bytes, n_actions, n)
 
-    rows = subspace_rows(F, s, t)
-    entries = engine(F, s, t, use_frobenius, rows, linalg.encode_rows(rows, q))
-
-    classes = []
-    for idx, size, contains in entries:
-        if filter_compatible and not contains:
-            continue
-        rep = SubspaceKey.from_rref(s, t, rows[idx])
-        M = rep.matrices()
-        classes.append(OrbitClass(rep, int(size), bool(contains),
-                                  bool((M == M.transpose(0, 2, 1)).all())))
-    covered = sum(c.orbit_size for c in classes)
+    codes = subspace_rows(F, s, t)
+    firsts, sizes, contains = map(np.array, zip(*engine(F, s, t, use_frobenius, codes)))
+    if filter_compatible:
+        firsts, sizes, contains = firsts[contains], sizes[contains], contains[contains]
+    reps = linalg.decode_codes(codes[firsts], q, n).reshape(-1, t, s, s)
+    symmetric = (reps == reps.transpose(0, 1, 3, 2)).all(axis=(1, 2, 3))
+    classes = [OrbitClass(SubspaceKey.from_rref(s, t, R), int(size), bool(ok), bool(sym))
+               for R, size, ok, sym in zip(reps, sizes, contains, symmetric)]
+    covered = int(sizes.sum())
     if not filter_compatible and covered != N:
         raise RuntimeError(f"orbits cover {covered} of {N} subspaces")
     return ClassReport(

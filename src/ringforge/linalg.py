@@ -380,11 +380,11 @@ def encode_rows(rows, q: int):
 
 
 def decode_codes(codes, q: int, m: int, dtype=np.int64) -> np.ndarray:
-    """Inverse of encode_rows for int64 keys, written in ``dtype``, which
-    must hold q - 1 (``np.min_scalar_type(q - 1)`` is the narrowest)."""
+    """Inverse of encode_rows for int64 and python-int keys, written in
+    ``dtype``, which must hold q - 1 (``np.min_scalar_type(q - 1)`` is the narrowest)."""
     codes = np.asarray(codes)
     out = np.empty(codes.shape + (m,), dtype=dtype)
-    rem = codes.astype(np.int64)
+    rem = codes.astype(object if codes.dtype == object else np.int64)
     for j in range(m - 1, -1, -1):
         out[..., j] = rem % q
         rem //= q

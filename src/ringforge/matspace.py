@@ -89,59 +89,41 @@ def subspace_key(F, mats) -> SubspaceKey:
 
 
 def subspace_rows(F, s: int, t: int) -> np.ndarray:
-    """All t-dimensional subspaces as flattened RREF bases (N, t*s*s),
-    sorted ascending by key, in the narrowest unsigned dtype that holds
-    the codes of F: uint8 up to q = 256, uint16 up to q = 2^16."""
+    """All t-dimensional subspaces as the sorted keys of their flattened
+    RREF bases (``linalg.encode_rows``; ``linalg.decode_codes`` inverts
+    it): int64 while t*s*s*log2(q) <= 62, python ints beyond.  Per pivot
+    pattern, the key of the bare pivots takes every digit of each free
+    entry (right of its row's pivot, off the pivot columns) as a Cartesian
+    sum, the first free entry most significant; no basis is written."""
     m = s * s
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     if not 1 <= t <= m:
         raise ValueError(f"t must lie in [1, {m}], got {t}")
-    q = F.q
-    if t == 1:
-        dt = np.min_scalar_type(q - 1)
-        # leading position l descending gives ascending keys directly
-        blocks = []
-        for l in range(m - 1, -1, -1):
-            tail = m - 1 - l
-            block = np.zeros((q ** tail, m), dtype=dt)
-            block[:, l] = 1
-            if tail:
-                block[:, l + 1:] = linalg.decode_codes(np.arange(q ** tail), q, tail, dt)
-            blocks.append(block)
-        return np.concatenate(blocks)
-    # the block list is freed before the sort copies arr
-    arr = np.concatenate([_pivot_block(q, t, m, pivots)
-                          for pivots in combinations(range(m), t)])
-    keys = linalg.encode_rows(arr, q)
-    order = np.argsort(keys, kind="stable")
-    if len(arr) != gaussian_binomial(m, t, q):
-        raise RuntimeError(f"enumerated {len(arr)} subspaces, expected "
+    q, n = F.q, t * m
+    dt = np.int64 if n * np.log2(q) <= 62 else object
+    weight = [q ** k for k in range(n - 1, -1, -1)]    # of entry i*m + j
+    digits = np.arange(q).astype(dt)
+    blocks = []
+    for pivots in combinations(range(m), t):
+        vals = np.array([sum(weight[i * m + c] for i, c in enumerate(pivots))], dtype=dt)
+        for i in range(t):
+            for j in range(pivots[i] + 1, m):
+                if j not in pivots:
+                    vals = (vals[:, None] + digits * weight[i * m + j]).ravel()
+        blocks.append(vals)
+    codes = np.concatenate(blocks)
+    codes.sort()
+    if len(codes) != gaussian_binomial(m, t, q):
+        raise RuntimeError(f"enumerated {len(codes)} subspaces, expected "
                            f"{gaussian_binomial(m, t, q)}")
-    return arr[order]
-
-
-def _pivot_block(q, t, m, pivots) -> np.ndarray:
-    """Every RREF basis (q^f, t*m) with the given pivot columns: its f free
-    entries (right of their row's pivot, off the pivot columns) run
-    through GF(q)^f in ascending code order."""
-    free = np.array([
-        (i, j)
-        for i in range(t)
-        for j in range(pivots[i] + 1, m)
-        if j not in pivots
-    ], dtype=np.int64).reshape(-1, 2)
-    f = len(free)
-    dt = np.min_scalar_type(q - 1)
-    block = np.zeros((q ** f, t, m), dtype=dt)
-    block[:, np.arange(t), pivots] = 1
-    block[:, free[:, 0], free[:, 1]] = linalg.decode_codes(np.arange(q ** f), q, f, dt)
-    return block.reshape(q ** f, t * m)
+    return codes
 
 
 def enumerate_subspaces(F, s: int, t: int):
     """Yield every t-dimensional subspace key exactly once, ascending."""
-    for row in subspace_rows(F, s, t):
+    q, n = F.q, t * s * s
+    for row in linalg.decode_codes(subspace_rows(F, s, t), q, n, np.min_scalar_type(q - 1)):
         yield SubspaceKey.from_rref(s, t, row)
 
 

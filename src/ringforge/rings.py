@@ -665,7 +665,9 @@ def equivalent_spec(spec: RingSpec, C, sigma_e: int = 0, B=None,
     keeps the result a valid presentation whenever the sigma lists make
     that meaningful; the supported regimes are identity automorphisms,
     a shared sigma value with C over its fixed subfield, and s = t = 1.
-    Validation happens in the Ring constructor of the result.
+    C[i, j] != 0 with sigma_i != sigma_j is refused: no isomorphism joins
+    U coordinates that twist differently.  Validation happens in the Ring
+    constructor of the result.
     """
     ring = Ring(spec)
     F = ring.field
@@ -679,6 +681,8 @@ def equivalent_spec(spec: RingSpec, C, sigma_e: int = 0, B=None,
     C = linalg.mat(F, C)
     if linalg.det(F, C) == 0:
         raise ValueError("C is singular")
+    if any(C[i, j] for i in range(s) for j in range(s) if ring.sigma[i] != ring.sigma[j]):
+        raise ValueError("C joins U coordinates with different sigma")
     if B is None:
         B = linalg.identity(t)
     B = linalg.mat(F, B)

@@ -23,6 +23,7 @@ from ringforge import gl as gl_module
 from ringforge import linalg as la
 from ringforge.classify import DEFAULT_BUDGET, _bfs_orbits, _canon_rows, _orbit_roots
 from ringforge.gl import enumerate_gl, gl_order
+from ringforge.matspace import dead_indices
 
 from oracles import (congruence_sweep, raw_congruence_orbit,
                      raw_congruence_partition, raw_line_class_count,
@@ -358,7 +359,7 @@ def test_orbit_roots_on_a_real_image_table(monkeypatch):
     label = table_components(dst)
     assert np.array_equal(_orbit_roots(dst), label)
     firsts, sizes = np.unique(label, return_counts=True)
-    rows = subspace_rows(F, 2, 2)
+    rows = la.decode_codes(subspace_rows(F, 2, 2), 3, 8)
     assert [c.rep.flat for c in rep.classes] == [tuple(int(x) for x in rows[i]) for i in firsts]
     assert [c.orbit_size for c in rep.classes] == sizes.tolist()
 
@@ -408,12 +409,62 @@ def test_budget_errors_name_the_knobs():
 
 
 def test_ground_limit_errors_name_the_knob(monkeypatch):
-    monkeypatch.setattr(classify_module, "_GROUND_LIMIT", 10)
-    knob = re.escape("limit of 10 (change it with ringforge.classify._GROUND_LIMIT)")
+    monkeypatch.setattr(classify_module, "_GROUND_BYTES", 10)
+    knob = re.escape("limit of 10 bytes (change it with ringforge.classify._GROUND_BYTES)")
     with pytest.raises(BudgetExceededError, match="ground set of 16 matrices .*" + knob):
         classify_congruence(GF(2), 2)
     with pytest.raises(BudgetExceededError, match="ground set of 15 subspaces .*" + knob):
         classify_subspaces(GF(2), 2, 1)
+
+
+def _predicted_peak(monkeypatch, call):
+    """The byte limit's prediction for a BFS, read off the error that a
+    zero limit raises before anything is built."""
+    monkeypatch.setattr(classify_module, "_GROUND_BYTES", 0)
+    with pytest.raises(BudgetExceededError, match="needs about") as err:
+        call()
+    monkeypatch.undo()
+    return int(re.search(r"needs about (\d+) bytes", str(err.value)).group(1))
+
+
+# every cell the old limit of 5 * 10^6 objects admitted, with the widest
+# object keys and the most actions at that size, and the two cells it
+# refused that run in about 500 MB
+@pytest.mark.parametrize("p,r,s,t", [(2, 1, 3, 4), (2, 1, 3, 5), (47, 1, 2, 2),
+                                     (167, 1, 2, 1), (13, 2, 2, 1), (2, 7, 2, 3),
+                                     (2, 1, 3, 7), (7, 1, 3, 1), (3, 1, 3, 2)])
+def test_ground_byte_limit_admits(p, r, s, t, monkeypatch):
+    need = _predicted_peak(monkeypatch, lambda: classify_subspaces(GF(p, r), s, t))
+    assert need <= classify_module._GROUND_BYTES
+
+
+@pytest.mark.parametrize("p,r,s,t", [(5, 1, 3, 2), (2, 1, 4, 2), (11, 1, 3, 1)])
+def test_ground_byte_limit_refuses(p, r, s, t, monkeypatch):
+    need = _predicted_peak(monkeypatch, lambda: classify_subspaces(GF(p, r), s, t))
+    assert need > classify_module._GROUND_BYTES
+    with pytest.raises(BudgetExceededError, match="_GROUND_BYTES"):
+        classify_subspaces(GF(p, r), s, t)
+
+
+def test_ground_byte_limit_admits_congruence(monkeypatch):
+    # GF(47) s = 2 and GF(5) s = 3 were admitted; GF(7) s = 3 peaks at 2.1 GB
+    for p, s in ((47, 2), (5, 3)):
+        need = _predicted_peak(monkeypatch, lambda: classify_congruence(GF(p), s))
+        assert need <= classify_module._GROUND_BYTES
+    with pytest.raises(BudgetExceededError, match="ground set of 40353607 matrices"):
+        classify_congruence(GF(7), 3)
+
+
+@pytest.mark.parametrize("p,r,t", [(3, 1, 1), (3, 1, 2), (2, 2, 1), (2, 2, 2)])
+def test_no_dead_index_matches_reference(p, r, t):
+    # sparse random tuples over GF(3) and GF(4), so dead indices are common
+    rng = np.random.default_rng(p ** r * 10 + t)
+    for s in (1, 2, 3):
+        V = rng.integers(0, p ** r, size=(500, t, s * s)).astype(np.uint8)
+        V[rng.random(V.shape) < 0.7] = 0
+        want = ~dead_indices(V.reshape(500, t, s, s)).any(axis=1)
+        assert want.any() and not want.all()
+        assert np.array_equal(classify_module._no_dead_index(s)(V), want)
 
 
 def test_enum_limit_error_names_the_knob(monkeypatch):
@@ -498,8 +549,8 @@ def test_orbit_of_subspace_matches_classes(p, r, s, t, classified):
     F = GF(p, r)
     rep, _ = classified("subspaces", p, r, s, t)
     sizes = {c.rep.flat: c.orbit_size for c in rep.classes}
-    rows = subspace_rows(F, s, t)
-    codes = la.encode_rows(rows, F.q)
+    codes = subspace_rows(F, s, t)
+    rows = la.decode_codes(codes, F.q, t * s * s)
     for i in np.random.default_rng(p * 100 + s * 10 + t).integers(0, len(rows), 6):
         key = subspace_key(F, rows[i].reshape(t, s, s))
         res = orbit_of(F, key, include_members=True)
@@ -518,7 +569,7 @@ def test_orbit_of_keys_wider_than_int64(classified):
     for c in rep.classes:
         res = orbit_of(F, c.rep)
         assert res.canonical_rep == c.rep and res.orbit_size == c.orbit_size
-    rows = subspace_rows(F, 3, 8)
+    rows = la.decode_codes(subspace_rows(F, 3, 8), 2, 72)
     for i in np.random.default_rng(8).integers(0, len(rows), 12):
         res = orbit_of(F, subspace_key(F, rows[i].reshape(8, 3, 3)))
         assert sizes[res.canonical_rep.flat] == res.orbit_size

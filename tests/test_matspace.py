@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ringforge import (
     GF,
     bilinear_class_reps,
+    classify_subspaces,
     congruence_twist,
     enumerate_subspaces,
     gaussian_binomial,
@@ -16,6 +18,7 @@ from ringforge import (
     symmetric_reps,
     tuple_compatible,
 )
+from ringforge import classify as classify_module
 from ringforge import linalg as la
 from ringforge.gl import enumerate_gl
 
@@ -117,7 +120,7 @@ def test_key_round_trip():
                                    (3, 2, 2), (2, 3, 1), (5, 2, 1)])
 def test_enumerate_counts(q, s, t):
     F = GF(q)
-    rows = subspace_rows(F, s, t)
+    rows = la.decode_codes(subspace_rows(F, s, t), q, t * s * s)
     assert len(rows) == gaussian_binomial(s * s, t, q)
     # all distinct, all rank t, all in reduced form
     seen = set()
@@ -128,24 +131,52 @@ def test_enumerate_counts(q, s, t):
         assert la.rank(F, row.reshape(t, s * s)) == t
 
 
+# (3, 7) keys are 63 bits wide, so they are python ints
 @pytest.mark.parametrize("q,r,s,t", [
     *[(q, r, 2, t) for q, r in ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2))
       for t in (1, 2, 3, 4)],
     (2, 1, 3, 2),
+    (2, 4, 2, 1), (2, 4, 2, 3), (2, 1, 1, 1), (7, 1, 1, 1),
+    (2, 1, 3, 1), (3, 1, 3, 1), (2, 1, 3, 7),
 ])
 def test_subspace_rows_match_product_oracle(q, r, s, t):
     F = GF(q, r)
-    rows = subspace_rows(F, s, t)
-    assert rows.dtype == np.uint8
-    assert np.array_equal(rows, product_subspace_rows(F.q, s, t))
+    codes = subspace_rows(F, s, t)
+    want = la.encode_rows(product_subspace_rows(F.q, s, t), F.q)
+    assert codes.dtype == want.dtype == (np.int64 if t * s * s * np.log2(F.q) <= 62 else object)
+    assert np.array_equal(codes, want)
 
 
+def test_subspace_rows_peak_is_about_twice_the_codes():
+    # the blocks and their concatenation, sorted in place: no digit rows
+    F = GF(2)
+    subspace_rows(F, 3, 2)  # first-call imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        codes = subspace_rows(F, 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(codes) == 788035
+    assert peak <= 2.5 * codes.nbytes
+
+
+# the dense BFS reads its blocks decoded in the narrowest dtype that holds q - 1
 @pytest.mark.parametrize("p,r,dtype", [(251, 1, np.uint8), (2, 8, np.uint8),
                                        (257, 1, np.uint16), (2, 16, np.uint16)])
-def test_subspace_rows_dtype_follows_q(p, r, dtype):
+def test_subspace_rows_dtype_follows_q(p, r, dtype, monkeypatch):
     F = GF(p, r)
-    rows = subspace_rows(F, 1, 1)
-    assert rows.dtype == dtype and rows.tolist() == [[1]]
+    blocks = []
+
+    def keep_first_block(N, load, *args):
+        blocks.append(load(0, N))
+        return bfs_orbits(N, load, *args)
+
+    bfs_orbits = classify_module._bfs_orbits
+    monkeypatch.setattr(classify_module, "_bfs_orbits", keep_first_block)
+    assert classify_subspaces(F, 1, 1).class_count == 1
+    (block,) = blocks
+    assert block.dtype == dtype and block.tolist() == [[[1]]]
 
 
 def test_enumerate_subspaces_iterates_keys():

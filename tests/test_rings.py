@@ -589,6 +589,50 @@ def test_equivalent_spec_theta_overdetermined():
         equivalent_spec(spec, la.identity(2), B=[[1, 1], [0, 1]])
 
 
+def test_equivalent_spec_rejects_c_across_sigma():
+    # found by seeded draws: the presentation returned for this C had 28672
+    # commuting element pairs of 65536 against the input's 22528
+    a = gf4_spec([[0, 0], [0, 3]], sigma=(0, 1), theta=(0,))
+    with pytest.raises(ValueError, match="different sigma"):
+        equivalent_spec(a, [[3, 3], [1, 0]])
+    # a C that keeps the sigma blocks apart is fine
+    d = equivalent_spec(a, [[2, 0], [0, 3]])
+    assert verify_witness(a, d, iso_test(a, d), exhaustive=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_equivalent_spec_returns_only_isomorphic_presentations(seed):
+    rng = np.random.default_rng(seed)
+    F = GF(*[(2, 2), (2, 3), (3, 2)][rng.integers(0, 3)])
+    s = int(rng.integers(1, 3))
+    spec = random_spec(rng, F, s, int(rng.integers(1, min(2, s * s) + 1)),
+                       int(rng.integers(0, 2)))
+    # C joins coordinates of different sigma in some draws; a twisted
+    # presentation is supported for C over the prime field
+    C = random_invertible(rng, F, s, q=F.p if any(spec.sigma) else None)
+    across = np.not_equal.outer(spec.sigma, spec.sigma)
+    if rng.integers(0, 2):
+        C = np.where(across, 0, C)
+        if la.det(F, C) == 0:
+            C = la.identity(s)
+    sigma_e, B = int(rng.integers(0, F.r)), random_invertible(rng, F, spec.t)
+    if C[across].any():
+        with pytest.raises(ValueError, match="different sigma"):
+            equivalent_spec(spec, C, sigma_e=sigma_e, B=B)
+        return
+    try:
+        d = equivalent_spec(spec, C, sigma_e=sigma_e, B=B)
+    except ValueError as err:
+        assert "overdetermined" in str(err)
+        return
+    w = iso_test(spec, d)
+    assert w is not None
+    # iso_test certified w on basis pairs; small orders check every pair
+    if spec.order <= 729:
+        assert verify_witness(spec, d, w, exhaustive=True)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
 def test_iso_round_trip_random(seed):
