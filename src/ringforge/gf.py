@@ -12,6 +12,13 @@ fields up to q = 1024 gather from full q x q tables; larger ones use
 log/exp and digit ops.  In characteristic 2 the digit-wise sum of two
 codes is their XOR, so p = 2 adds (and subtracts) by XOR in every regime
 and builds no q x q addition table.
+
+The q x q tables are symmetric and kept with a flat view: two arrays
+gather at a*q + b, the index computed in int64 whatever the operands'
+dtype, and an array against a python int reads one row.  The exp table
+holds two periods of g^n and then a zero tail, and log 0 points into
+that tail, so a product of logs needs no mask for zero operands; the
+q x q multiplication table is built by the same expression.
 """
 
 from __future__ import annotations
@@ -121,6 +128,32 @@ def _least_generator(q, power):
     raise RuntimeError(f"no multiplicative generator found in GF({q})")
 
 
+def _gather(T, flat, a, b):
+    """T[a, b] for a symmetric q x q table T with flat = T.reshape(-1), where
+    a or b is an array.
+
+    Against a python int the other operand reads one row of T.  Otherwise
+    one int64 array holds the index a*q + b, computed in int64 so that a
+    narrow operand cannot wrap, and then the result: ``take`` reads each
+    index before it writes that position, and with mode "clip" it writes
+    in place (mode "raise" buffers the output).  So the gather allocates
+    one array where flat[a*q + b] allocates three, and past a few thousand
+    elements those allocations cost more than the gather.  Codes are not
+    range-checked here; the public operations check them.
+    """
+    if isinstance(a, int):
+        return T[a][b]
+    if isinstance(b, int):
+        return T[b][a]
+    idx = np.empty(np.broadcast(a, b).shape, dtype=np.int64)
+    np.multiply(a, len(T), out=idx, dtype=np.int64)
+    idx += b
+    flat.take(idx, out=idx, mode="clip")
+    # idx itself, not a view of it, so numpy can reuse it as a temporary;
+    # a numpy scalar for two scalar operands
+    return idx if idx.ndim else idx[()]
+
+
 class GF:
     """The field GF(p^r) with elements coded as integers in [0, p^r)."""
 
@@ -201,8 +234,10 @@ class GF:
         else:
             gen = _least_generator(q, self._code_pow)
             self._gen = gen
-            # exp[n:n+k] = exp[:k] * g^n, doubling n; M is M(g^n)
-            exp = np.zeros(2 * (q - 1), dtype=np.int64)
+            # exp[n:n+k] = exp[:k] * g^n, doubling n; M is M(g^n).  Two
+            # periods of g^n, then a zero tail that log 0 points into:
+            # log a + log b lands in the tail when a or b is 0
+            exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
             exp[0] = 1
             M = self._mul_matrices(gen)
             n = 1
@@ -211,8 +246,8 @@ class GF:
                 exp[n:n + k] = (self._digits[exp[:k]] @ M % p) @ self._pows
                 M = M @ M % p
                 n += k
-            exp[q - 1:] = exp[: q - 1]
-            log = np.full(q, -1, dtype=np.int64)
+            exp[q - 1:2 * (q - 1)] = exp[: q - 1]
+            log = np.full(q, 2 * (q - 1), dtype=np.int64)
             log[exp[: q - 1]] = np.arange(q - 1)
             self._exp, self._log = exp, log
             inv = np.zeros(q, dtype=np.int64)
@@ -242,12 +277,10 @@ class GF:
                     add *= p
                     add += (d[:, None] + d[None, :]) % p
                 self._add_t = add
-            with np.errstate(all="ignore"):
-                lg = self._log
-                mul = self._exp[lg[:, None] + lg[None, :]]
-            mul[0, :] = 0
-            mul[:, 0] = 0
-            self._mul_t = mul
+                self._add_flat = add.reshape(-1)
+            lg = self._log
+            self._mul_t = self._exp[lg[:, None] + lg[None, :]]
+            self._mul_flat = self._mul_t.reshape(-1)
         self._squares = None
 
     # -- element validation --
@@ -290,7 +323,9 @@ class GF:
         if self.r == 1:
             return (a + b) % self.p
         if self._add_t is not None:
-            return self._add_t[a, b]
+            if isinstance(a, int) and isinstance(b, int):
+                return self._add_flat[a * self.q + b]
+            return _gather(self._add_t, self._add_flat, a, b)
         d = (self._digits[a] + self._digits[b]) % self.p
         return d @ self._pows
 
@@ -313,8 +348,10 @@ class GF:
         if self.r == 1:
             return (a * b) % self.p
         if self._mul_t is not None:
-            return self._mul_t[a, b]
-        return self._exp[self._log[a] + self._log[b]] * ((a != 0) & (b != 0))
+            if isinstance(a, int) and isinstance(b, int):
+                return self._mul_flat[a * self.q + b]
+            return _gather(self._mul_t, self._mul_flat, a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
         scalar, (a,) = self._check(a)
@@ -350,13 +387,16 @@ class GF:
         out = self._frob_raw(a, e)
         if scalar:
             return int(out)
-        # a prime field's Frobenius is the identity; never alias the input
+        # _frob_raw returns a itself for e = 0 mod r; never alias the input
         return out.copy() if out is a else out
 
     def _frob_raw(self, a, e):
-        if self.r == 1:
+        """x -> x^(p^e); returns a itself when e = 0 mod r, so callers
+        must not write into the result."""
+        e %= self.r
+        if e == 0:
             return a
-        return self._frob[e % self.r][a]
+        return self._frob[e][a]
 
     def _neg_raw(self, a):
         if self.r == 1:

@@ -10,8 +10,11 @@ __all__ = ["gl_order", "det_batch", "gl_chunks", "enumerate_gl", "gl_generators"
 
 # ground sets above this are never enumerated densely
 ENUM_LIMIT = 2 * 10 ** 7
-# matrices per chunk of gl_chunks
-_GL_CHUNK = 1 << 16
+# matrices per chunk of gl_chunks.  iso_test holds one chunk at a time; at
+# 2^16 a freed GF(5), s = 3 chunk went back to the system and the next one
+# faulted its pages in afresh (about 4x the minor faults), at 2^14 the
+# memory is reused
+_GL_CHUNK = 1 << 14
 
 
 def gl_order(q: int, s: int) -> int:

@@ -192,7 +192,7 @@ class Ring:
         return out
 
     def mul(self, x, y):
-        out = self.mul_batch(np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64))
+        out = self.mul_batch(x, y)
         if isinstance(x, tuple) and isinstance(y, tuple):
             return tuple(int(v) for v in out)
         return out
@@ -200,39 +200,39 @@ class Ring:
     def mul_batch(self, X, Y) -> np.ndarray:
         """Product on arrays of shape (..., n); broadcasts like numpy.
 
-        Each operand is copied once coordinate-major, (n, ...), so every
-        coordinate the formula reads is a contiguous block.
+        The formula reads and writes whole coordinates, so it runs
+        coordinate-major, (n, ...): an operand is copied to int64
+        coordinate-major only if its coordinate rows are not already
+        contiguous int64, and the product is written coordinate-major and
+        returned as a writable ``np.moveaxis`` view of shape (..., n).  A
+        product passed back in is therefore read with no copy.
         """
         F = self.field
         s, t, lam = self.s, self.t, self.lam
-        X, Y = np.broadcast_arrays(np.asarray(X, dtype=np.int64),
-                                   np.asarray(Y, dtype=np.int64))
-        out = np.empty(X.shape, dtype=np.int64)
-        X = np.ascontiguousarray(np.moveaxis(X, -1, 0))
-        Y = np.ascontiguousarray(np.moveaxis(Y, -1, 0))
+        X = np.ascontiguousarray(np.moveaxis(np.asarray(X), -1, 0), dtype=np.int64)
+        Y = np.ascontiguousarray(np.moveaxis(np.asarray(Y), -1, 0), dtype=np.int64)
+        out = np.empty((self.n,) + np.broadcast_shapes(X.shape[1:], Y.shape[1:]),
+                       dtype=np.int64)
         x0, y0 = X[0], Y[0]
         mul, add, frob = F._mul_raw, F._add_raw, F._frob_raw
-        out[..., 0] = mul(x0, y0)
+        # Frobenius images, one per coordinate and distinct exponent
+        y0_tw = {e: frob(y0, e) for e in set(self.sigma + self.theta)}
+        u_tw = {e: [frob(Y[1 + j], e) for j in range(s)] for e in set(self.sigma)}
+        out[0] = mul(x0, y0)
         for i in range(s):
-            out[..., 1 + i] = add(mul(x0, Y[1 + i]),
-                                  mul(X[1 + i], frob(y0, self.sigma[i])))
-        # structural products u_i sigma_i(u'_j), reused across the k loop
-        prods = [
-            [mul(X[1 + i], frob(Y[1 + j], self.sigma[i])) for j in range(s)]
-            for i in range(s)
-        ]
+            out[1 + i] = add(mul(x0, Y[1 + i]), mul(X[1 + i], y0_tw[self.sigma[i]]))
+        # structural products u_i sigma_i(u'_j) that some A_k reads
+        prods = {(i, j): mul(X[1 + i], u_tw[self.sigma[i]][j])
+                 for i, j in zip(*np.nonzero(self.matrices.any(axis=0)))}
         for k in range(t + lam):
-            acc = add(mul(x0, Y[1 + s + k]),
-                      mul(X[1 + s + k], frob(y0, self.theta[k])))
+            acc = add(mul(x0, Y[1 + s + k]), mul(X[1 + s + k], y0_tw[self.theta[k]]))
             if k < t:
-                A = self.matrices[k]
-                for i in range(s):
-                    for j in range(s):
-                        a = int(A[i, j])
-                        if a:
-                            acc = add(acc, mul(a, prods[i][j]))
-            out[..., 1 + s + k] = acc
-        return out
+                for (i, j), uu in prods.items():
+                    a = int(self.matrices[k, i, j])
+                    if a:
+                        acc = add(acc, mul(a, uu))
+            out[1 + s + k] = acc
+        return np.moveaxis(out, 0, -1)
 
     def mul_table(self) -> np.ndarray:
         if self._mul_t is None:
@@ -298,10 +298,14 @@ def check_axioms(ring: Ring, mode: str = "exhaustive", seed: int = 42,
     Exhaustive mode walks every triple through the cached tables; sampled
     mode draws seeded random triples and evaluates the product formula
     directly, so the two modes exercise different code paths.  Sampled
-    mode evaluates the product laws ``_PAIR_BLOCK`` triples at a time and
-    keeps one failure mask per law over all samples, so it reports the
+    mode evaluates every law ``_PAIR_BLOCK`` triples at a time and keeps
+    one failure mask per law over all samples, so it reports the
     same counterexample as one unblocked pass: the first failing law in
-    the order above, at its lowest sample index.
+    the order above, at its lowest sample index.  The samples are drawn
+    as int64, so a seed gives the same triples as ever, and held in the
+    narrowest unsigned dtype that holds q - 1; each block is copied once
+    to int64 coordinate-major, the layout ``Ring.mul_batch`` computes in,
+    so the products of a block chain without copies.
     """
     N = ring.order
     p = ring.field.p
@@ -348,7 +352,9 @@ def check_axioms(ring: Ring, mode: str = "exhaustive", seed: int = 42,
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     rng = np.random.default_rng(seed)
     q, n = ring.field.q, ring.n
-    X, Y, Z = (rng.integers(0, q, size=(samples, n), dtype=np.int64) for _ in range(3))
+    narrow = np.min_scalar_type(q - 1)
+    X, Y, Z = (rng.integers(0, q, size=(samples, n), dtype=np.int64).astype(narrow)
+               for _ in range(3))
     checked = {
         "associativity": samples,
         "left_distributivity": samples,
@@ -363,26 +369,28 @@ def check_axioms(ring: Ring, mode: str = "exhaustive", seed: int = 42,
             "elements": [tuple(int(v) for v in e[i]) for e in elems],
         })
 
-    laws = ("associativity", "left_distributivity", "right_distributivity")
+    laws = ("associativity", "left_distributivity", "right_distributivity",
+            "characteristic")
     bad = {law: np.zeros(samples, dtype=bool) for law in laws}
     mul, add = ring.mul_batch, ring.add
     for lo in range(0, samples, _PAIR_BLOCK):
         b = slice(lo, lo + _PAIR_BLOCK)
-        x, y, z = X[b], Y[b], Z[b]
+        # one int64 coordinate-major copy per block, which mul_batch and
+        # its products then read without copying
+        x, y, z = (np.ascontiguousarray(V[b].T, dtype=np.int64).T for V in (X, Y, Z))
         xy, y_z = mul(x, y), add(y, z)
         bad["associativity"][b] = (mul(xy, z) != mul(x, mul(y, z))).any(axis=1)
         bad["left_distributivity"][b] = (mul(x, y_z) != add(xy, mul(x, z))).any(axis=1)
         bad["right_distributivity"][b] = (mul(y_z, x)
                                           != add(mul(y, x), mul(z, x))).any(axis=1)
+        acc = x
+        for _ in range(p - 1):
+            acc = add(acc, x)
+        bad["characteristic"][b] = (acc != 0).any(axis=1)
     for law in laws:
         if bad[law].any():
-            return report(law, bad[law], X, Y, Z)
-    acc = X
-    for _ in range(p - 1):
-        acc = ring.add(acc, X)
-    bad = (acc != 0).any(axis=1)
-    if bad.any():
-        return report("characteristic", bad, X)
+            elems = (X,) if law == "characteristic" else (X, Y, Z)
+            return report(law, bad[law], *elems)
     return AxiomReport(True, mode, checked, None)
 
 
@@ -606,8 +614,10 @@ def iso_test(specA: RingSpec, specD: RingSpec) -> IsoWitness | None:
     and returns the first witness ``verify_witness`` certifies.  GL(s, q)
     is walked in the ascending chunks of ``gl.gl_chunks``, each chunk's
     images are computed directly as C^T A C, and the scan stops at the
-    first certified witness, so memory is bounded by one chunk and the
-    witness is the one an ascending scan of the whole group finds first.
+    first certified witness.  Each chunk's arrays are dropped before the
+    next chunk is built, so memory is bounded by one chunk however far the
+    scan goes, and the witness is the one an ascending scan of the whole
+    group finds first.
     At s = t = 1 that is sigma 0, C = [[1]], B = [[d/a]].  GL(s, q) over
     ``gl.ENUM_LIMIT`` is refused with a ValueError once the invariant
     agrees.
@@ -639,7 +649,7 @@ def iso_test(specA: RingSpec, specD: RingSpec) -> IsoWitness | None:
             R, ranks = linalg.rref_batch(F, imgs)
             keys = linalg.encode_rows(R.reshape(len(Gmats), t * m), F.q)
             for ci in np.flatnonzero((keys == target_key) & (ranks == t)):
-                X = imgs[ci]                            # t rows, the twisted A_k
+                X = imgs[ci].copy()                     # t rows, the twisted A_k
                 cols = []
                 for rho in range(t):
                     beta = linalg.solve(F, X.T, D_rows[rho])
@@ -650,9 +660,13 @@ def iso_test(specA: RingSpec, specD: RingSpec) -> IsoWitness | None:
                     B = np.stack(cols, axis=1)
                     if linalg.det(F, B) == 0:
                         continue
-                    witness = IsoWitness(sigma=e, C=Gmats[ci], B=B, v_perm=perm)
+                    witness = IsoWitness(sigma=e, C=Gmats[ci].copy(), B=B, v_perm=perm)
                     if verify_witness(specA, specD, witness):
                         return witness
+            # drop this chunk before the next is built, so that one chunk,
+            # not two, is live at a time however far the scan goes; X and C
+            # above are copies, so no candidate keeps a chunk alive either
+            del Gmats, imgs, R, ranks, keys
     return None
 
 

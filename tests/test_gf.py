@@ -227,6 +227,55 @@ def test_char2_kernels_match_digitwise(r, dtype):
         assert out.ravel().tolist() == [x * y for x, y in zip(ai, bi)]
 
 
+# table fields (q <= 1024) with p = 2 and p > 2, then the log/exp regime
+KERNEL_FIELDS = [(2, 2), (3, 2), (2, 4), (5, 2), (3, 4), (2, 8), (2, 11), (3, 7)]
+
+
+@pytest.mark.parametrize("p,r", KERNEL_FIELDS, ids=lambda v: str(v))
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8, np.uint16, np.int64],
+                         ids=lambda d: d.__name__)
+def test_kernels_match_naive(p, r, dtype):
+    # array x array (the flat gather), array x python int (one table row),
+    # numpy scalars and int x int, and the (N, m) x (N, 1) broadcast of
+    # rref_batch.  The index a*q + b must not be computed in the operand
+    # dtype: an int8 code times q wraps on numpy 2 and under numpy 1's
+    # value-based casting alike
+    F = GF(p, r)
+    q, mod = F.q, F.modulus
+    pows = [p ** i for i in range(r)]
+    rng = np.random.default_rng(q)
+    hi = min(q, int(np.iinfo(dtype).max) + 1)
+    a, b = (rng.integers(0, hi, size=(12, 9)).astype(dtype) for _ in range(2))
+    f = rng.integers(0, hi, size=(12, 1)).astype(dtype)
+    a[0], b[1], f[2] = 0, 0, 0
+    a[3, 0] = b[3, 0] = hi - 1
+
+    def add(x, y):
+        return sum(((x // w + y // w) % p) * w for w in pows)
+
+    def sub(x, y):
+        return sum(((x // w - y // w) % p) * w for w in pows)
+
+    def mul(x, y):
+        return poly_code_mul(p, mod, x, y)
+
+    def naive(op, x, y):
+        x, y = np.broadcast_arrays(x, y)
+        return [op(int(u), int(v)) for u, v in zip(x.ravel(), y.ravel())]
+
+    k = int(a[3, 0])
+    for raw, op in ((F._mul_raw, mul), (F._add_raw, add)):
+        for x, y in ((a, b), (a, f), (f, a), (k, b), (b, k), (dtype(k), b),
+                     (b, dtype(k)), (dtype(k), dtype(k))):
+            assert np.ravel(raw(x, y)).tolist() == naive(op, x, y)
+        assert raw(k, 1) == op(k, 1)
+        assert raw(k, k) == op(k, k)
+    for x, g, y in ((a, f, b), (a, k, b), (a, b, f), (k, k, 1)):
+        assert np.ravel(F._sub_mul_raw(x, g, y)).tolist() == [
+            sub(u, mul(v, w)) for u, v, w in zip(*(np.ravel(z).tolist() for z in
+                                                   np.broadcast_arrays(x, g, y)))]
+
+
 def test_code_range_checks(F):
     with pytest.raises(ValueError):
         F.mul(0, F.q)
@@ -302,8 +351,12 @@ def test_field_tables_match_naive(p, r):
     q = F.q
     assert F._gen == least_generator(p, F.modulus)
     powers = naive_powers(p, F.modulus, F._gen)
-    assert F._exp.tolist() == powers + powers
+    # two periods of g^n, then the zero tail that log 0 points into
+    tail = 2 * (q - 1)
+    assert F._exp[:tail].tolist() == powers + powers
+    assert F._exp[tail:].tolist() == [0] * (tail + 1)
     assert F._log[powers].tolist() == list(range(q - 1))
+    assert F._log[0] == tail
     # addition against digit-wise addition, one row at a time: the table
     # gather for p > 2, the XOR for p = 2, which builds no table
     pows = [p ** i for i in range(r)]

@@ -150,6 +150,28 @@ def test_mul_batch_matches_scalar():
         assert tuple(p) == ring_mul_scalar(ring, X[1, 0], Y[0, 2])
 
 
+def test_mul_batch_layouts_agree():
+    # row-major, coordinate-major views (what mul_batch returns), narrow
+    # and broadcast operands give one product, and the product is writable
+    rng = np.random.default_rng(12)
+    for ring in _oracle_rings():
+        q, n = ring.field.q, ring.n
+        X, Y, Z = (rng.integers(0, q, size=(7, n), dtype=np.int64) for _ in range(3))
+        ref = ring.mul_batch(X, Y)
+        assert ref.shape == (7, n) and ref.dtype == np.int64
+        Xc, Yc = (np.ascontiguousarray(V.T).T for V in (X, Y))
+        for x, y in ((Xc, Yc), (X, Yc), (Xc, Y), (X.astype(np.uint16), Y)):
+            assert np.array_equal(ring.mul_batch(x, y), ref)
+        assert np.array_equal(ring.mul_batch(ref, Z), ring.mul_batch(ref.copy(), Z))
+        P = ring.mul_batch(X[:, None, :], X[None, :, :])
+        assert P.shape == (7, 7, n)
+        for i, j in itertools.product(range(7), range(7)):
+            assert np.array_equal(P[i, j], ring.mul_batch(X[i], X[j]))
+        assert ref.flags.writeable
+        ref[0, 0] = (ref[0, 0] + 1) % q
+        assert tuple(ref[0]) != ring_mul_scalar(ring, X[0], Y[0])
+
+
 def test_table_cap():
     ring = Ring(prime_spec(5, np.eye(3, dtype=np.int64), lam=2))  # 5^7
     with pytest.raises(ValueError, match="capped"):
@@ -272,6 +294,39 @@ def test_axioms_sampled_right_distributivity_only():
         "law": "right_distributivity",
         "elements": [tuple(int(v) for v in E[i]) for E in (X, Y, Z)],
     }
+
+
+class DoublingRing(Ring):
+    """A ring whose x + x is off by 1 in the F coordinate for planted x."""
+
+    def __init__(self, spec, rows):
+        super().__init__(spec)
+        self.rows = rows
+
+    def add(self, x, y):
+        out = super().add(x, y)
+        hit = (np.asarray(x) == y).all(axis=-1)
+        hit &= np.any([(np.asarray(x) == r).all(axis=-1) for r in self.rows], axis=0)
+        out[hit, 0] = self.field._add_raw(out[hit, 0], 1)
+        return out
+
+
+def test_axioms_sampled_characteristic_across_blocks():
+    # the characteristic is checked a block at a time too, and reported at
+    # the lowest failing sample, here in the second block
+    spec = RingSpec(GF(2, 8), 1, 1, 0, np.array([[[7]]]), (0,), (0,))
+    block, seed = rings._PAIR_BLOCK, 3
+    samples = block + 999
+    X, Y, Z = _sampled_triples(Ring(spec), seed, samples)
+    ring = DoublingRing(spec, [X[samples - 1], X[block + 17]])
+    assert not any(_unblocked_failures(ring, X, Y, Z)[law].any() for law in
+                   ("associativity", "left_distributivity", "right_distributivity"))
+    bad = (ring.add(X, X) != 0).any(axis=1)
+    i = int(np.flatnonzero(bad)[0])
+    assert i >= block
+    rep = check_axioms(ring, mode="sampled", seed=seed, samples=samples)
+    assert rep.counterexample == {"law": "characteristic",
+                                  "elements": [tuple(int(v) for v in X[i])]}
 
 
 def test_axioms_exhaustive_bound():
@@ -779,6 +834,36 @@ def test_enum_limit_refuses_pairs_the_invariant_cannot_separate(monkeypatch):
     a = prime_spec(7, np.eye(3, dtype=np.int64))
     with pytest.raises(ValueError, match=r"ringforge\.gl\.ENUM_LIMIT"):
         iso_test(a, equivalent_spec(a, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def test_iso_scan_holds_one_chunk(monkeypatch):
+    """No chunk of GL(s, q) is alive when the next one is built, and the
+    returned witness does not pin the chunk it came from."""
+    import weakref
+
+    real = gl.gl_chunks
+    built = []
+
+    def tracked(F, s):
+        chunks = real(F, s)
+        while True:
+            # the generator resumes here, before it builds the next chunk
+            assert not built or built[-1]() is None, f"chunk {len(built)} still alive"
+            chunk = next(chunks, None)
+            if chunk is None:
+                return
+            built.append(weakref.ref(chunk))
+            yield chunk
+            del chunk
+
+    monkeypatch.setattr(gl, "gl_chunks", tracked)
+    monkeypatch.setattr(gl, "_GL_CHUNK", 1)     # one prefix's extensions a chunk
+    a = prime_spec(5, [[1, 2, 0], [0, 1, 3], [1, 0, 1]])
+    d = equivalent_spec(a, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    w = iso_test(a, d)
+    assert verify_witness(a, d, w)
+    assert len(built) >= 3
+    assert w.C.base is None and built[-1]() is None
 
 
 def test_pair_tables_and_exhaustive_witness_memory():
