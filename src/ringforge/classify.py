@@ -4,13 +4,15 @@ Two group actions are classified here: congruence orbits of single
 matrices (A -> C^T A C over GL(s, F)) and equivalence orbits of
 t-dimensional matrix spaces (S -> span{C^T A^sigma C : A in S}, with the
 field automorphism twist optional).  Both run one engine, generator BFS:
-every object of the ground set is moved by each of the two or three
-generators of ``gl.gl_generators`` (and by the Frobenius), and the orbits
-are the connected components of the resulting graph, found by a numpy
-union-find over its image table (``_orbit_roots``).  A subspace sweep,
-the full-group image of each undiscovered orbit, remains as the explicit
-``strategy="sweep"``.  Everything is deterministic: objects are held in
-ascending key order and every orbit is named by its minimum key.
+every object of the ground set is moved by each action of
+``_group_actions``, one per generator of ``gl.gl_generators`` (two for
+s >= 3), with the Frobenius folded into the shift Z (or, at s = 1,
+added as one more).  The orbits are the connected components of the resulting graph,
+found by a numpy union-find over its image table (``_orbit_roots``).  A
+subspace sweep, the full-group image of each undiscovered orbit,
+remains as the explicit ``strategy="sweep"``.  Everything is
+deterministic: objects are held in ascending key order and every orbit
+is named by its minimum key.
 
 The ground set of spaces is held as its sorted keys only
 (``matspace.subspace_rows``).  The BFS decodes one block of them at a
@@ -213,8 +215,43 @@ def _no_dead_index(s):
                       @ incidence > 0).all(1)
 
 
-def _check_bfs_budget(F, s, N, what, budget) -> None:
-    actions = N * (len(gl.gl_generators(F, s)) + 1)
+def _group_actions(F, s, use_frobenius=False):
+    """The actions a BFS applies to every object, as (P, twist) pairs: P
+    is the lowered map A -> C^T A C of a generator C of ``gl.gl_generators``
+    or None, and twist says the entrywise Frobenius phi comes first.
+
+    With the twist on and r > 1 the group is G = GL(s, F) x| <phi>.  For
+    s >= 2 the shift Z, the second generator, acts as "phi, then Z", and
+    the generators with Z phi in place of Z still generate G.  Proof:
+    x = I + E_12 and Z have entries in F_p, so phi fixes them;
+    conjugation by Z phi maps the set of all x_ij(a), a in F, onto the
+    x_i'j'(a) with indices shifted cyclically, and a diagonal matrix to
+    its Frobenius image with the entries shifted.  So the group H the
+    actions generate holds a diagonal with a primitive element at
+    position 1: D at s = 2, and at s >= 3 a conjugate of D' by a power
+    of Z phi (H holds D', as ``gl.gl_generators`` shows).  As in that
+    proof, conjugating x by it gives every x_12(a), the conjugates by
+    Z phi give every x_(i,i+1)(a), these generate SL(s, F), and with the
+    diagonal GL(s, F).  So Z is in H, and so is phi = Z^-1 (Z phi).  At
+    s = 1 phi is one more action, (None, True)."""
+    maps = linalg.kron_batch(F, gl.gl_generators(F, s))
+    if not (use_frobenius and F.r > 1):
+        return [(P, False) for P in maps]
+    if s >= 2:
+        return [(P, i == 1) for i, P in enumerate(maps)]
+    return [(P, False) for P in maps] + [(None, True)]
+
+
+def _image(F, V, P, twist):
+    """V under one action of ``_group_actions``: the entrywise Frobenius if
+    ``twist``, then the map P unless it is None."""
+    if twist:
+        V = F._frob_raw(V, 1)
+    return V if P is None else linalg.linmap_apply(F, V, P)
+
+
+def _check_bfs_budget(N, n_actions, what, budget) -> None:
+    actions = N * n_actions
     if actions > budget:
         raise _over_budget(f"{what} BFS needs {actions} actions", budget)
 
@@ -230,8 +267,9 @@ def classify_congruence(F, s: int, symmetric_only: bool = False,
         raise ValueError(f"s must be >= 1, got {s}")
     q, m = F.q, s * s
     N = q ** (s * (s + 1) // 2) if symmetric_only else q ** m
-    _check_bfs_budget(F, s, N, "congruence", resolve_budget(budget))
-    _check_ground_bytes(N, "matrices", 8, len(gl.gl_generators(F, s)), m)
+    maps = [P for P, _ in _group_actions(F, s)]
+    _check_bfs_budget(N, len(maps), "congruence", resolve_budget(budget))
+    _check_ground_bytes(N, "matrices", 8, len(maps), m)
 
     if symmetric_only:
         upper = [i * s + j for i in range(s) for j in range(i, s)]
@@ -249,8 +287,7 @@ def classify_congruence(F, s: int, symmetric_only: bool = False,
         keys = linalg.encode_rows(imgs, q)
         return _ground_index(ground, keys) if symmetric_only else keys
 
-    actions = [lambda V, P=P: linalg.linmap_apply(F, V, P)
-               for P in linalg.kron_batch(F, gl.gl_generators(F, s))]
+    actions = [lambda V, P=P: linalg.linmap_apply(F, V, P) for P in maps]
     classes = []
     for idx, size, contains in _bfs_orbits(N, load, actions, locate,
                                            _no_dead_index(s)):
@@ -337,11 +374,14 @@ def _bfs_subspaces(F, s, t, use_frobenius, codes):
 
 def _dense_bfs_subspaces(F, s, t, use_frobenius, codes):
     q, m = F.q, s * s
-    actions = [lambda V, P=P: _canon_rows(F, linalg.linmap_apply(F, V, P), t)
-               for P in linalg.kron_batch(F, gl.gl_generators(F, s))]
-    if use_frobenius and F.r > 1:
+
+    def act(V, P, twist):
+        img = _image(F, V, P, twist)
         # RREF structure survives the entrywise Frobenius, so no re-reduction
-        actions.append(lambda V: F._frob_raw(V, 1))
+        return img if P is None else _canon_rows(F, img, t)
+
+    actions = [lambda V, P=P, twist=twist: act(V, P, twist)
+               for P, twist in _group_actions(F, s, use_frobenius)]
 
     def load(lo, hi):
         V = linalg.decode_codes(codes[lo:hi], q, t * m, np.min_scalar_type(q - 1))
@@ -371,7 +411,7 @@ def _packed_bfs_subspaces(F, s, t, use_frobenius, codes):
     shifts = m * np.arange(t - 1, -1, -1)
     every_row = linalg.decode_codes(np.arange(1 << m), 2, m, np.uint8)
     tables = [linalg.encode_rows(linalg.linmap_apply(F, every_row, P), 2)
-              for P in linalg.kron_batch(F, gl.gl_generators(F, s))]
+              for P, _ in _group_actions(F, s)]
     # index k is dead when every word misses the bits of row k and column k
     entry_bits = (1 << np.arange(m - 1, -1, -1)).reshape(s, s)
     masks = [entry_bits[k].sum() | entry_bits[:, k].sum() for k in range(s)]
@@ -414,8 +454,9 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
     q, n = F.q, t * m
     N = gaussian_binomial(m, t, q)
     budget = resolve_budget(budget)
+    n_actions = len(_group_actions(F, s, use_frobenius))
     if strategy == "bfs":
-        _check_bfs_budget(F, s, N, "subspace", budget)
+        _check_bfs_budget(N, n_actions, "subspace", budget)
         engine = _bfs_subspaces
     else:
         sweep_actions = gl.gl_order(q, s) * (F.r if use_frobenius else 1) * N
@@ -424,7 +465,6 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
         engine = _sweep_subspaces
     # keys wider than int64 are python ints behind object pointers
     code_bytes = 8 if n * np.log2(q) <= 62 else 8 + (q ** n).__sizeof__()
-    n_actions = len(gl.gl_generators(F, s)) + (use_frobenius and F.r > 1)
     _check_ground_bytes(N, "subspaces", code_bytes, n_actions, n)
 
     codes = subspace_rows(F, s, t)
@@ -463,7 +503,7 @@ def orbit_of(F, obj, use_frobenius: bool = True, budget=None,
         kind = "subspace"
         s, t = obj.s, obj.rank
         start = np.array(obj.flat, dtype=np.int64)
-        frob = use_frobenius and F.r > 1
+        frob = use_frobenius
     else:
         kind = "congruence"
         A = linalg.mat(F, obj)
@@ -475,7 +515,7 @@ def orbit_of(F, obj, use_frobenius: bool = True, budget=None,
         frob = False
     m = s * s
     q = F.q
-    Ps = linalg.kron_batch(F, gl.gl_generators(F, s))
+    acts = _group_actions(F, s, frob)
 
     def canon(batch):
         # batch (B, t*m) -> canonical rows
@@ -488,14 +528,9 @@ def orbit_of(F, obj, use_frobenius: bool = True, budget=None,
     rep_row = frontier[0]                       # the row of seen[0]
     n_actions = 0
     while len(frontier):
-        B = len(frontier)
-        img_list = [
-            linalg.linmap_apply(F, frontier.reshape(B, t, m), P).reshape(B, t * m)
-            for P in Ps
-        ]
-        if frob:
-            img_list.append(F._frob_raw(frontier, 1))
-        imgs = canon(np.concatenate(img_list))
+        V = frontier.reshape(len(frontier), t, m)
+        imgs = canon(np.concatenate([_image(F, V, P, twist).reshape(-1, t * m)
+                                     for P, twist in acts]))
         keys = linalg.encode_rows(imgs, q)
         n_actions += len(keys)
         if n_actions > budget:

@@ -71,13 +71,14 @@ def _extend(F, prefixes: np.ndarray) -> np.ndarray:
 
 
 def gl_chunks(F, s: int):
-    """GL(s, F) ascending by integer encoding, as consecutive chunks.
+    """GL(s, F) ascending by integer encoding, as consecutive chunks of at
+    most ``_GL_CHUNK`` matrices.
 
     The (s-1)-row prefixes are built whole; each chunk is the set of full
-    extensions of a block of consecutive prefixes, about ``_GL_CHUNK``
-    matrices and never less than one prefix's q^s - q^(s-1).  Prefixes and
-    their extensions are both visited in ascending code order, so every
-    chunk is ascending and each one starts above the last.  The
+    extensions of a block of consecutive prefixes, or, where one prefix's
+    q^s - q^(s-1) extensions exceed the cap, a slice of them.  Prefixes
+    and their extensions are both visited in ascending code order, so
+    every chunk is ascending and each one starts above the last.  The
     enumeration limit is checked before the first chunk is built.
     """
     _check_enum_limit(F.q, s)
@@ -86,7 +87,9 @@ def gl_chunks(F, s: int):
         prefixes = _extend(F, prefixes)
     per = max(1, _GL_CHUNK // (F.q ** s - F.q ** (s - 1)))
     for lo in range(0, len(prefixes), per):
-        yield _extend(F, prefixes[lo:lo + per])
+        block = _extend(F, prefixes[lo:lo + per])
+        for i in range(0, len(block), _GL_CHUNK):
+            yield block[i:i + _GL_CHUNK]
 
 
 def enumerate_gl(F, s: int) -> np.ndarray:
@@ -100,12 +103,21 @@ def enumerate_gl(F, s: int) -> np.ndarray:
 
 
 def gl_generators(F, s: int) -> np.ndarray:
-    """Three matrices that generate GL(s, F), two over GF(2).
+    """Generators of GL(s, F): one for s = 1, three for s = 2 over q > 2,
+    two otherwise.
 
-    x = I + E_12 (the unit transvection x_12(1)), the cyclic shift Z with
-    e_i Z = e_(i+1) (indices mod s), and D = diag(w, 1, ..., 1) with w the
-    multiplicative generator.  D is left out over GF(2), where it is I;
-    for s = 1 the set is D alone (I over GF(2)).  Proof for s >= 2:
+    With x = I + E_12 (the unit transvection x_12(1)), the cyclic shift Z
+    with e_i Z = e_(i+1) (indices mod s), and w the multiplicative
+    generator, the set is
+
+    * s = 1: D = (w) alone (I over GF(2));
+    * q = 2: x, Z;
+    * s = 2, q > 2: x, Z, D with D = diag(w, 1);
+    * s >= 3, q > 2: x D', Z with D' = diag(1, ..., 1, w).
+
+    Z is the second matrix whenever s >= 2; it has entries in F_p, so it
+    commutes with the entrywise Frobenius.  Proof for {x, Z, D},
+    D = diag(w, 1, ..., 1):
 
     * D x_12(a) D^-1 = x_12(w a), and x_12(a) x_12(b) = x_12(a + b).  The
       powers of w span F additively, so products give x_12(a) for all a.
@@ -116,13 +128,24 @@ def gl_generators(F, s: int) -> np.ndarray:
       then give every elementary transvection x_ij(a), i != j, and these
       generate SL(s, F).
     * det D = w generates F^*, so SL(s, F) and D generate GL(s, F).
+
+    For s >= 3, x and D' commute, since w sits off rows and columns 1
+    and 2.  Their orders p and q - 1 are coprime, so the powers of x D'
+    include x and D' (x D' to a power k with k = 1 mod p and k = 0
+    mod q - 1 is x).  D' is a conjugate of D by a power of Z, so {x D', Z}
+    generates what {x, Z, D} does.  At s = 2 the diagonals that commute
+    with x_12 are the scalars, which fix x_12 under conjugation, so D
+    stays separate.
     """
-    D = linalg.identity(s)
-    D[0, 0] = F.multiplicative_generator()
+    w = F.multiplicative_generator()
     if s == 1:
-        return D[None]
+        return np.array([[[w]]], dtype=np.int64)
     x = linalg.identity(s)
     x[0, 1] = 1
     Z = np.roll(linalg.identity(s), 1, axis=1)
-    gens = [x, Z] if F.q == 2 else [x, Z, D]
-    return np.array(gens, dtype=np.int64)
+    if F.q == 2:
+        return np.array([x, Z], dtype=np.int64)
+    if s == 2:
+        return np.array([x, Z, np.diag([w, 1])], dtype=np.int64)
+    x[-1, -1] = w
+    return np.array([x, Z], dtype=np.int64)

@@ -96,7 +96,7 @@ def test_congruence_matches_sweep_oracle(p, r, s, symmetric_only, classified):
 
 
 def test_congruence_gf5_s3_within_default_budget():
-    # N (generators + 1) = 5^9 * 4 actions; the old sweep needed 2.9 * 10^12
+    # N actions per generator: 5^9 * 2; the old sweep needed 2.9 * 10^12
     rep = classify_congruence(GF(5), 3)
     assert rep.class_count == 31 == congruence_class_count(5, 3)
     assert rep.total_objects == 5 ** 9
@@ -196,6 +196,48 @@ def test_sweep_and_bfs_agree(p, s, t):
     assert json.dumps(a_d, sort_keys=True) == json.dumps(b_d, sort_keys=True)
 
 
+# the sweep images each orbit by all of GL(s, q) and every Frobenius power,
+# so it does not depend on the generators; the BFS acts at s = 3 by x D'
+# and "Frobenius, then Z" only, at s = 2 by x, "Frobenius, then Z" and D
+@pytest.mark.parametrize("p,r,s,t", [(2, 2, 3, 1), (2, 2, 2, 2), (3, 2, 2, 2),
+                                     (2, 4, 2, 1)])
+def test_sweep_and_bfs_agree_with_frobenius(p, r, s, t):
+    F = GF(p, r)
+    a = classify_subspaces(F, s, t, strategy="sweep")
+    b = classify_subspaces(F, s, t, strategy="bfs")
+    a_d, b_d = a.to_dict(), b.to_dict()
+    a_d["strategy"] = b_d["strategy"] = "-"
+    assert json.dumps(a_d, sort_keys=True) == json.dumps(b_d, sort_keys=True)
+
+
+@pytest.mark.parametrize("p,r,s,use_frobenius,shape", [
+    (2, 2, 3, True, [False, True]),
+    (2, 3, 3, True, [False, True]),
+    (2, 2, 2, True, [False, True, False]),
+    (2, 2, 1, True, [False, None]),                  # no shift at s = 1
+    (2, 2, 3, False, [False, False]),
+    (5, 1, 3, True, [False, False]),                 # r = 1: nothing to twist
+])
+def test_group_actions_fold_the_frobenius_into_the_shift(p, r, s, use_frobenius, shape):
+    # shape: per action, whether the Frobenius comes first, None for the
+    # Frobenius alone
+    F = GF(p, r)
+    acts = classify_module._group_actions(F, s, use_frobenius)
+    assert [None if P is None else twist for P, twist in acts] == shape
+    maps = la.kron_batch(F, gl_module.gl_generators(F, s))
+    assert all(np.array_equal(P, L) for (P, _), L in zip(acts, maps))
+    # a folded action is the shift Z of the Frobenius image
+    rng = np.random.default_rng(p + r + s)
+    A = rng.integers(0, F.q, size=(5, 1, s * s))
+    Z = np.roll(la.identity(s), 1, axis=1)
+    for P, twist in acts:
+        if twist and P is not None:
+            img = classify_module._image(F, A, P, twist)
+            want = [la.mat_mul(F, la.mat_mul(F, Z.T, F.frobenius(M.reshape(s, s))), Z)
+                    for M in A]
+            assert np.array_equal(img.reshape(5, s, s), np.array(want))
+
+
 def test_auto_strategy_matches_explicit():
     F = GF(2)
     auto = classify_subspaces(F, 2, 2, strategy="auto")
@@ -205,7 +247,7 @@ def test_auto_strategy_matches_explicit():
 
 
 # scalars fix every subspace, so a sweep computes at least N (q - 1)
-# images; BFS computes N (generators + 1), 4 per object at s = 2
+# images; BFS computes N per action, 3 per object at s = 2
 @pytest.mark.parametrize("p,r", [(2, 3), (3, 2), (11, 1), (13, 1)])
 def test_auto_picks_bfs_when_scalars_outweigh_generators(p, r):
     assert classify_subspaces(GF(p, r), 2, 2).strategy == "bfs"
@@ -394,7 +436,7 @@ BUDGET_KNOBS = re.escape("(change it with budget=, --budget or RINGFORGE_BUDGET)
 
 def test_budget_errors_name_the_knobs():
     with pytest.raises(BudgetExceededError,
-                       match="congruence BFS needs 324 actions, over the action "
+                       match="congruence BFS needs 243 actions, over the action "
                              "budget of 50 " + BUDGET_KNOBS):
         classify_congruence(GF(3), 2, budget=50)
     with pytest.raises(BudgetExceededError,
@@ -544,7 +586,7 @@ def test_orbit_of_members_match_raw_orbit(p, s, seed):
 
 
 @pytest.mark.parametrize("p,r,s,t", [(2, 1, 3, 2), (3, 1, 2, 2), (2, 2, 2, 1),
-                                     (2, 2, 2, 2), (5, 1, 2, 3)])
+                                     (2, 2, 2, 2), (5, 1, 2, 3), (2, 2, 3, 1)])
 def test_orbit_of_subspace_matches_classes(p, r, s, t, classified):
     F = GF(p, r)
     rep, _ = classified("subspaces", p, r, s, t)

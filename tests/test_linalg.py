@@ -415,7 +415,8 @@ def test_enumerate_gl_matches_det_filter(q, r, s):
     assert G.dtype == want.dtype and np.array_equal(G, want)
 
 
-# 1 and 4 are below one prefix's q^s - q^(s-1) extensions at every cell
+# 1 and 4 are below one prefix's q^s - q^(s-1) extensions at most cells,
+# so gl_chunks splits them
 @pytest.mark.parametrize("chunk", [1, 4, 50, 1000, 1 << 16])
 @pytest.mark.parametrize("q,r,s", [(2, 1, 1), (3, 1, 2), (2, 1, 3), (2, 2, 2), (3, 1, 3)])
 def test_gl_chunks_ascending_and_complete(monkeypatch, chunk, q, r, s):
@@ -431,8 +432,13 @@ def test_gl_chunks_ascending_and_complete(monkeypatch, chunk, q, r, s):
     whole = np.concatenate(chunks)
     assert np.array_equal(whole, enumerate_gl(F, s))
     assert np.array_equal(whole, gl_det_filter(F, s))
-    per = max(1, chunk // (F.q ** s - F.q ** (s - 1)))
-    assert len(chunks) == -(-gl_order(F.q, s) // (per * (F.q ** s - F.q ** (s - 1))))
+    assert max(len(C) for C in chunks) <= chunk
+    ext = F.q ** s - F.q ** (s - 1)
+    prefixes = gl_order(F.q, s) // ext
+    if chunk >= ext:        # blocks of whole prefixes, one chunk each
+        assert len(chunks) == -(-prefixes // (chunk // ext))
+    else:                   # each prefix's extensions in slices of chunk
+        assert len(chunks) == prefixes * -(-ext // chunk)
 
 
 def test_enumerate_gl_extension_field():
@@ -482,7 +488,7 @@ def test_generators_close_to_gl_order(q, s):
     F = GF(p, r)
     gens = gl_generators(F, s)
     if s >= 2:
-        assert len(gens) == (2 if q == 2 else 3)
+        assert len(gens) == (2 if q == 2 or s >= 3 else 3)
     assert _closure_size(F, gens) == gl_order(q, s)
 
 

@@ -857,13 +857,33 @@ def test_iso_scan_holds_one_chunk(monkeypatch):
             del chunk
 
     monkeypatch.setattr(gl, "gl_chunks", tracked)
-    monkeypatch.setattr(gl, "_GL_CHUNK", 1)     # one prefix's extensions a chunk
+    monkeypatch.setattr(gl, "_GL_CHUNK", 1)     # one matrix a chunk
     a = prime_spec(5, [[1, 2, 0], [0, 1, 3], [1, 0, 1]])
     d = equivalent_spec(a, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     w = iso_test(a, d)
     assert verify_witness(a, d, w)
     assert len(built) >= 3
     assert w.C.base is None and built[-1]() is None
+
+
+def test_iso_scan_lowers_at_most_one_capped_chunk():
+    """GL(1, 2^16) is one prefix's 65535 extensions; gl_chunks splits them
+    into chunks of _GL_CHUNK matrices, so the scan that finds C = [[1]]
+    lowers 16384 (16, 16) float32 maps, 16.8 MB, not 67 MB."""
+    import tracemalloc
+
+    F = GF(2, 16)
+    a = RingSpec(F, 1, 1, 0, np.array([[[12345]]], np.int64), (0,), (0,))
+    d = equivalent_spec(a, [[777]])
+    assert all(len(C) <= gl._GL_CHUNK for C in gl.gl_chunks(F, 1))
+    tracemalloc.start()
+    try:
+        w = iso_test(a, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.C.tolist() == [[1]] and verify_witness(a, d, w)
+    assert peak < 32 * 2 ** 20
 
 
 def test_pair_tables_and_exhaustive_witness_memory():
