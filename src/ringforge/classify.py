@@ -23,6 +23,22 @@ images are reduced by XOR (``linalg._rref_words``).  Such a table is
 never larger than the ground set's N + 1 codes, or 16 entries, so it
 needs no limit of its own.  Both forms give the same keys and share
 ``_bfs_orbits``, ``_orbit_roots`` and ``_ground_index``.
+
+No engine scans objects for dead indices, because the compatibility
+flag of a class follows from its representative.  Index i is dead in a
+tuple when row i and column i vanish in every member.  Write
+R(S) = {v : v^T A = 0 = A v for all A in S}, the common two-sided
+radical of a tuple or space S.  For C in GL(s, F), row i of C^T A C is
+(C e_i)^T A C and column i is C^T A (C e_i), so i is dead in C^T S C
+exactly when C e_i lies in R(S); the entrywise Frobenius maps R(S)
+onto R(phi(S)), so the same holds for C^T phi(S) C.  If S != 0 then
+R(S) is a proper subspace, so some standard vector e_k lies outside it,
+and C = I + sum of E_kj over the j with e_j in R(S) is invertible
+(det 1) with no column in R(S): C e_j = e_j + e_k for those j.  So
+C^T S C, a member of the class of S, has no dead index.  Every class
+of t-spaces (t >= 1) therefore contains a compatible member, and a
+congruence class does unless it is the class of the zero matrix, the
+only matrix with no compatible member.
 """
 
 from __future__ import annotations
@@ -81,6 +97,13 @@ def _check_ground_bytes(N, what, code_bytes, n_actions, entries) -> None:
 
 @dataclass
 class OrbitClass:
+    """One orbit: its minimum as representative, its size, and two flags.
+    ``contains_compatible`` says some member has no dead index; by the
+    module docstring's proof it is True for every class of spaces and for
+    every congruence class but that of the zero matrix.
+    ``commutative_capable`` says the representative's matrices are
+    symmetric."""
+
     rep: object        # SubspaceKey for subspace runs, (s, s) array for congruence
     orbit_size: int
     contains_compatible: bool
@@ -180,39 +203,24 @@ def _orbit_roots(dst):
     return parent
 
 
-def _bfs_orbits(N, load, actions, locate, alive):
+def _bfs_orbits(N, load, actions, locate):
     """Orbits of the N ground objects as connected components of the graph
     joining each object to the ground index of its image under each
     action, computed in blocks of ``_BFS_CHUNK`` objects, so no image
     stack of the whole ground set is held.  ``load(lo, hi)`` returns the
-    block of objects lo..hi-1 in whatever form the actions take, and
-    ``alive`` maps a block to whether each object has no dead index.
-    Returns an iterator of (first index, size, whether a member has no
-    dead index), ascending by first index, so every orbit is named by its
-    minimum."""
+    block of objects lo..hi-1 in whatever form the actions take.
+    Returns an iterator of (first index, size), ascending by first index,
+    so every orbit is named by its minimum."""
     dst = np.empty((N, len(actions)), dtype=np.int32)
-    ok = np.empty(N, dtype=bool)
     for lo in range(0, N, _BFS_CHUNK):
         hi = min(lo + _BFS_CHUNK, N)
         V = load(lo, hi)
-        ok[lo:hi] = alive(V)
         for a, act in enumerate(actions):
             dst[lo:hi, a] = locate(act(V))
     parent = _orbit_roots(dst)
     firsts = np.flatnonzero(parent == np.arange(N))
     sizes = np.bincount(parent, minlength=N)[firsts]
-    orbit_ok = np.bincount(parent[ok], minlength=N)[firsts] > 0
-    return zip(firsts, sizes, orbit_ok)
-
-
-def _no_dead_index(s):
-    """``alive`` for blocks of tuples held as digit rows: the entries nonzero
-    in some member times the (s*s, s) row-or-column incidence matrix, in
-    uint8 (a float product copies the block), count each index's entries."""
-    i, j = np.divmod(np.arange(s * s), s)
-    incidence = np.uint8((i[:, None] == np.arange(s)) | (j[:, None] == np.arange(s)))
-    return lambda V: ((V.reshape(len(V), -1, s * s) != 0).any(1).view(np.uint8)
-                      @ incidence > 0).all(1)
+    return zip(firsts, sizes)
 
 
 def _group_actions(F, s, use_frobenius=False):
@@ -289,10 +297,10 @@ def classify_congruence(F, s: int, symmetric_only: bool = False,
 
     actions = [lambda V, P=P: linalg.linmap_apply(F, V, P) for P in maps]
     classes = []
-    for idx, size, contains in _bfs_orbits(N, load, actions, locate,
-                                           _no_dead_index(s)):
+    for idx, size in _bfs_orbits(N, load, actions, locate):
         rep = load(idx, idx + 1).reshape(s, s)
-        classes.append(OrbitClass(rep, int(size), bool(contains),
+        # only the zero matrix has no compatible member (module docstring)
+        classes.append(OrbitClass(rep, int(size), bool(rep.any()),
                                   bool((rep == rep.T).all())))
     return ClassReport(
         kind="congruence",
@@ -359,8 +367,7 @@ def _sweep_subspaces(F, s, t, use_frobenius, codes):
         # orbit minimum
         if pos[0] != idx:
             raise RuntimeError(f"subspace {idx} is not the minimum of its orbit")
-        members = linalg.decode_codes(codes[pos], q, t * m)
-        out.append((idx, len(keys), _no_dead_index(s)(members).any()))
+        out.append((idx, len(keys)))
     return out
 
 
@@ -390,7 +397,7 @@ def _dense_bfs_subspaces(F, s, t, use_frobenius, codes):
     def locate(R):
         return _ground_index(codes, linalg.encode_rows(R.reshape(len(R), t * m), q))
 
-    return _bfs_orbits(len(codes), load, actions, locate, _no_dead_index(s))
+    return _bfs_orbits(len(codes), load, actions, locate)
 
 
 def _packed_bfs_subspaces(F, s, t, use_frobenius, codes):
@@ -412,16 +419,9 @@ def _packed_bfs_subspaces(F, s, t, use_frobenius, codes):
     every_row = linalg.decode_codes(np.arange(1 << m), 2, m, np.uint8)
     tables = [linalg.encode_rows(linalg.linmap_apply(F, every_row, P), 2)
               for P, _ in _group_actions(F, s)]
-    # index k is dead when every word misses the bits of row k and column k
-    entry_bits = (1 << np.arange(m - 1, -1, -1)).reshape(s, s)
-    masks = [entry_bits[k].sum() | entry_bits[:, k].sum() for k in range(s)]
 
     def load(lo, hi):
         return (codes[lo:hi, None] >> shifts) & low
-
-    def alive(W):
-        held = np.bitwise_or.reduce(W, axis=1)
-        return np.logical_and.reduce([(held & mask) != 0 for mask in masks])
 
     def image(W, table):
         R, ranks = linalg._rref_words(table[W])
@@ -432,12 +432,11 @@ def _packed_bfs_subspaces(F, s, t, use_frobenius, codes):
         return _ground_index(codes, keys)
 
     actions = [lambda W, T=T: image(W, T) for T in tables]
-    return _bfs_orbits(len(codes), load, actions, locate, alive)
+    return _bfs_orbits(len(codes), load, actions, locate)
 
 
 def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
-                       filter_compatible: bool = False, strategy: str = "auto",
-                       budget=None) -> ClassReport:
+                       strategy: str = "auto", budget=None) -> ClassReport:
     """Partition the t-dimensional spaces of s x s matrices over F into
     equivalence classes under congruence twists (and, if use_frobenius,
     field automorphisms applied entrywise).  ``strategy`` "auto" and "bfs"
@@ -468,22 +467,20 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
     _check_ground_bytes(N, "subspaces", code_bytes, n_actions, n)
 
     codes = subspace_rows(F, s, t)
-    firsts, sizes, contains = map(np.array, zip(*engine(F, s, t, use_frobenius, codes)))
-    if filter_compatible:
-        firsts, sizes, contains = firsts[contains], sizes[contains], contains[contains]
+    firsts, sizes = map(np.array, zip(*engine(F, s, t, use_frobenius, codes)))
     reps = linalg.decode_codes(codes[firsts], q, n).reshape(-1, t, s, s)
     symmetric = (reps == reps.transpose(0, 1, 3, 2)).all(axis=(1, 2, 3))
-    classes = [OrbitClass(SubspaceKey.from_rref(s, t, R), int(size), bool(ok), bool(sym))
-               for R, size, ok, sym in zip(reps, sizes, contains, symmetric)]
+    # every class of spaces holds a compatible member (module docstring)
+    classes = [OrbitClass(SubspaceKey.from_rref(s, t, R), int(size), True, bool(sym))
+               for R, size, sym in zip(reps, sizes, symmetric)]
     covered = int(sizes.sum())
-    if not filter_compatible and covered != N:
+    if covered != N:
         raise RuntimeError(f"orbits cover {covered} of {N} subspaces")
     return ClassReport(
         kind="subspace",
         params={
             "p": F.p, "r": F.r, "q": q, "s": s, "t": t,
             "use_frobenius": use_frobenius,
-            "filter_compatible": filter_compatible,
         },
         total_objects=covered,
         class_count=len(classes),

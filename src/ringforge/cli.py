@@ -60,7 +60,6 @@ def _cmd_classify(args) -> int:
     report = classify_subspaces(
         F, args.s, args.t,
         use_frobenius=not args.no_frobenius,
-        filter_compatible=args.filter_compatible,
         strategy=args.strategy,
         budget=args.budget,
     )
@@ -308,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="space dimension")
     p.add_argument("--no-frobenius", action="store_true",
                    help="congruence twists only, no field automorphisms")
-    p.add_argument("--filter-compatible", action="store_true",
-                   help="drop classes with no compatible member")
     p.add_argument("--strategy", choices=("auto", "sweep", "bfs"), default="auto")
     p.add_argument("--budget", type=int, default=None,
                    help="action budget (default RINGFORGE_BUDGET or 10^12)")

@@ -8,7 +8,7 @@ from . import linalg
 
 __all__ = ["gl_order", "det_batch", "gl_chunks", "enumerate_gl", "gl_generators"]
 
-# ground sets above this are never enumerated densely
+# groups of more elements than this are never enumerated densely
 ENUM_LIMIT = 2 * 10 ** 7
 # matrices per chunk of gl_chunks.  iso_test holds one chunk at a time; at
 # 2^16 a freed GF(5), s = 3 chunk went back to the system and the next one
@@ -44,10 +44,12 @@ def det_batch(F, A) -> np.ndarray:
 
 
 def _check_enum_limit(q: int, s: int) -> None:
-    total = q ** (s * s)
-    if total > ENUM_LIMIT:
+    """Refuse to enumerate GL(s, q) when its order, the number of matrices
+    ``gl_chunks`` builds, exceeds ``ENUM_LIMIT``."""
+    order = gl_order(q, s)
+    if order > ENUM_LIMIT:
         raise ValueError(
-            f"GL({s}, {q}) ground set of {total} matrices exceeds the enumeration "
+            f"GL({s}, {q}) has {order} elements, over the enumeration "
             f"limit of {ENUM_LIMIT} (change it with ringforge.gl.ENUM_LIMIT)"
         )
 

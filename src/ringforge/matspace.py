@@ -43,9 +43,6 @@ class SubspaceKey:
     def matrices(self) -> np.ndarray:
         return np.array(self.rows, dtype=np.int64).reshape(self.rank, self.s, self.s)
 
-    def to_lists(self) -> list:
-        return [[[int(x) for x in row] for row in M] for M in self.matrices()]
-
     def __lt__(self, other):
         return self.rows < other.rows
 

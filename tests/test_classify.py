@@ -17,6 +17,7 @@ from ringforge import (
     resolve_budget,
     subspace_key,
     subspace_rows,
+    tuple_compatible,
 )
 from ringforge import classify as classify_module
 from ringforge import gl as gl_module
@@ -150,17 +151,62 @@ def test_triple_space_orbit_sizes(classified):
     assert sorted(c.orbit_size for c in rep.classes) == [1, 2, 3, 3, 6]
 
 
-def test_all_3x3_plane_classes_have_compatible_member(classified):
-    rep, _ = classified("subspaces", 2, 1, 3, 2)
-    assert all(c.contains_compatible for c in rep.classes)
+# -- every class of nonzero spaces holds a compatible member --
+
+def _member_has_no_dead_index(F, c):
+    """Whether some member of the orbit of c, listed by ``orbit_of``
+    (Frobenius included for spaces), has no dead index: the scan the
+    classify module's proof makes needless."""
+    res = orbit_of(F, c.rep, include_members=True)
+    t, s = c.rep_matrices().shape[:2]
+    mats = la.decode_codes(np.array(res.members), F.q, t * s * s)
+    return bool((~dead_indices(mats.reshape(-1, t, s, s)).any(axis=1)).any())
 
 
-def test_filter_compatible_consistent(classified):
-    full, _ = classified("subspaces", 3, 1, 2, 2)
-    filtered = classify_subspaces(GF(3), 2, 2, filter_compatible=True)
-    flagged = [c for c in full.classes if c.contains_compatible]
-    assert filtered.class_count == len(flagged)
-    assert [c.rep.flat for c in filtered.classes] == [c.rep.flat for c in flagged]
+@pytest.mark.parametrize("kind,p,r,s,t", [
+    ("subspace", 2, 1, 2, 1), ("subspace", 2, 1, 2, 2), ("subspace", 2, 1, 3, 1),
+    ("subspace", 2, 1, 3, 2), ("subspace", 3, 1, 2, 2), ("subspace", 2, 2, 2, 1),
+    ("congruence", 2, 1, 2, None), ("congruence", 3, 1, 2, None),
+])
+def test_compatible_flag_matches_member_scan(kind, p, r, s, t, classified):
+    F = GF(p, r)
+    if kind == "subspace":
+        rep, _ = classified("subspaces", p, r, s, t)
+    else:
+        rep, _ = classified("congruence", p, r, s)
+    for c in rep.classes:
+        assert c.contains_compatible == _member_has_no_dead_index(F, c)
+    if kind == "subspace" and (p, r, s, t) == (2, 1, 2, 1):
+        # the line of E_22 is its class's rep and has a dead index, so a
+        # flag read off the rep would be wrong
+        (c,) = [c for c in rep.classes if c.rep.flat == (0, 0, 0, 1)]
+        assert dead_indices(c.rep_matrices()[None]).any() and c.contains_compatible
+    if kind == "congruence":
+        assert [c.rep_flat() for c in rep.classes if not c.contains_compatible] == [
+            (0,) * (s * s)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), q=st.sampled_from([2, 3, 4, 5]),
+       s=st.integers(1, 3), t=st.integers(1, 3), e=st.integers(0, 1))
+def test_proof_congruence_leaves_no_dead_index(seed, q, s, t, e):
+    # the classify module's C: with k a live index of a nonzero tuple S,
+    # C = I + sum of E_kj over the dead indices j, and C^T phi^e(S) C has
+    # no dead index
+    F = GF(2, 2) if q == 4 else GF(q)
+    rng = np.random.default_rng(seed)
+    mats = rng.integers(0, q, size=(t, s, s), dtype=np.int64)
+    mats[rng.random(mats.shape) < 0.7] = 0
+    if not mats.any():
+        mats[0, 0, 0] = 1
+    dead = dead_indices(mats[None])[0]
+    C = la.identity(s)
+    C[np.flatnonzero(~dead)[0], dead] = 1
+    twisted = np.stack([congruence_twist(F, C, A, e) for A in mats])
+    before, after = tuple_compatible(F, mats), tuple_compatible(F, twisted)
+    assert after.dead_indices == ()
+    assert after.independent == before.independent
+    assert after.verdict == before.independent
 
 
 def test_reps_are_canonical_and_sorted(classified):
@@ -179,6 +225,25 @@ def test_commutative_capable_means_symmetric_basis(classified):
         mats = c.rep_matrices()
         all_sym = all(np.array_equal(M, M.T) for M in mats)
         assert c.commutative_capable == all_sym
+
+
+# -- duality: W -> W^perp under <A, B> = sum A_ij B_ij --
+# <C^T A C, B> = <A, C B C^T>, so W^perp maps the orbit of W onto the orbit
+# of W^perp under C -> (C^T)^-1, and the entrywise Frobenius keeps W^perp;
+# t-spaces and (s^2 - t)-spaces have the same class count and orbit sizes
+
+@pytest.mark.parametrize("p,r,s,t,use_frobenius", [
+    (2, 1, 2, 1, True), (3, 1, 2, 1, True), (5, 1, 2, 1, True), (7, 1, 2, 1, True),
+    (2, 2, 2, 1, True), (2, 2, 2, 1, False), (3, 2, 2, 1, True), (3, 2, 2, 1, False),
+    (2, 1, 3, 1, True), (3, 1, 3, 1, True),
+])
+def test_complement_duality_keeps_counts_and_orbit_sizes(p, r, s, t, use_frobenius,
+                                                         classified):
+    small, _ = classified("subspaces", p, r, s, t, use_frobenius=use_frobenius)
+    large, _ = classified("subspaces", p, r, s, s * s - t, use_frobenius=use_frobenius)
+    assert small.class_count == large.class_count
+    assert (sorted(c.orbit_size for c in small.classes)
+            == sorted(c.orbit_size for c in large.classes))
 
 
 # -- strategies, budgets --------------------------------------------------
@@ -282,26 +347,13 @@ def test_bfs_block_size_does_not_change_reports(call, monkeypatch):
 
 # -- the packed GF(2) engine against the dense one --
 
-def _spy_alive(monkeypatch):
-    """Record, for every BFS run, its ``alive`` mask over the whole ground set."""
-    masks = []
-    real = classify_module._bfs_orbits
-
-    def spy(N, load, actions, locate, alive):
-        masks.append(alive(load(0, N)))
-        return real(N, load, actions, locate, alive)
-
-    monkeypatch.setattr(classify_module, "_bfs_orbits", spy)
-    return masks
-
-
-@pytest.mark.parametrize("s,t,filter_compatible", [
+# over GF(2) use_frobenius changes nothing, so both settings must agree
+@pytest.mark.parametrize("s,t,use_frobenius", [
     (2, 1, False), (2, 2, False), (2, 3, False), (2, 4, False),
     (3, 1, False), (3, 2, False), (3, 2, True),
 ])
-def test_packed_and_dense_engines_give_identical_reports(s, t, filter_compatible,
+def test_packed_and_dense_engines_give_identical_reports(s, t, use_frobenius,
                                                          monkeypatch):
-    masks = _spy_alive(monkeypatch)
     packed_runs = []
     real_packed = classify_module._packed_bfs_subspaces
 
@@ -311,20 +363,14 @@ def test_packed_and_dense_engines_give_identical_reports(s, t, filter_compatible
 
     monkeypatch.setattr(classify_module, "_packed_bfs_subspaces", packed)
     F = GF(2)
-    got = json.dumps(classify_subspaces(F, s, t, filter_compatible=filter_compatible)
+    got = json.dumps(classify_subspaces(F, s, t, use_frobenius=use_frobenius)
                      .to_dict(), sort_keys=True)
     assert packed_runs == [(s, t)]
     monkeypatch.setattr(classify_module, "_packed_bfs_subspaces",
                         classify_module._dense_bfs_subspaces)
-    want = json.dumps(classify_subspaces(F, s, t, filter_compatible=filter_compatible)
+    want = json.dumps(classify_subspaces(F, s, t, use_frobenius=use_frobenius)
                       .to_dict(), sort_keys=True)
     assert got == want
-    packed_ok, dense_ok = masks
-    assert len(packed_ok) == gaussian_binomial(s * s, t, 2)
-    assert np.array_equal(packed_ok, dense_ok)
-    if t == 1:
-        # the line of E_11 has a dead index, the line of I none
-        assert dense_ok.any() and not dense_ok.all()
 
 
 def test_gf2_keys_wider_than_int64_keep_the_dense_path(monkeypatch):
@@ -378,12 +424,10 @@ def test_bfs_orbits_match_component_oracle(name, monkeypatch):
     dst = IMAGE_TABLES[name]
     monkeypatch.setattr(classify_module, "_BFS_CHUNK", 64)
     firsts, sizes = np.unique(table_components(dst), return_counts=True)
-    # node i is loaded as the 1 x 1 matrix [i], so node 0 alone has a dead index
-    actions = [lambda V, a=a: dst[V[:, 0], a] for a in range(dst.shape[1])]
-    got = _bfs_orbits(len(dst), lambda lo, hi: np.arange(lo, hi)[:, None],
-                      actions, lambda keys: keys, classify_module._no_dead_index(1))
-    assert [(int(i), int(n), bool(ok)) for i, n, ok in got] == [
-        (int(i), int(n), bool(i > 0 or n > 1)) for i, n in zip(firsts, sizes)]
+    actions = [lambda V, a=a: dst[V, a] for a in range(dst.shape[1])]
+    got = _bfs_orbits(len(dst), lambda lo, hi: np.arange(lo, hi), actions,
+                      lambda keys: keys)
+    assert [(int(i), int(n)) for i, n in got] == list(zip(firsts.tolist(), sizes.tolist()))
 
 
 def test_orbit_roots_on_a_real_image_table(monkeypatch):
@@ -497,22 +541,11 @@ def test_ground_byte_limit_admits_congruence(monkeypatch):
         classify_congruence(GF(7), 3)
 
 
-@pytest.mark.parametrize("p,r,t", [(3, 1, 1), (3, 1, 2), (2, 2, 1), (2, 2, 2)])
-def test_no_dead_index_matches_reference(p, r, t):
-    # sparse random tuples over GF(3) and GF(4), so dead indices are common
-    rng = np.random.default_rng(p ** r * 10 + t)
-    for s in (1, 2, 3):
-        V = rng.integers(0, p ** r, size=(500, t, s * s)).astype(np.uint8)
-        V[rng.random(V.shape) < 0.7] = 0
-        want = ~dead_indices(V.reshape(500, t, s, s)).any(axis=1)
-        assert want.any() and not want.all()
-        assert np.array_equal(classify_module._no_dead_index(s)(V), want)
-
-
 def test_enum_limit_error_names_the_knob(monkeypatch):
     monkeypatch.setattr(gl_module, "ENUM_LIMIT", 100)
     knob = re.escape("limit of 100 (change it with ringforge.gl.ENUM_LIMIT)")
-    with pytest.raises(ValueError, match="GL\\(3, 2\\) ground set of 512 matrices .*" + knob):
+    with pytest.raises(ValueError, match="GL\\(3, 2\\) has 168 elements, over the "
+                                         "enumeration " + knob):
         enumerate_gl(GF(2), 3)
 
 
