@@ -55,8 +55,8 @@ def main():
     print()
 
     # over GF(4) with s = t = 1 the scalar matrices can differ by a unit;
-    # the search's first candidate, C = [[1]], already matches, and the
-    # witness carries the balancing B entry
+    # their spans are equal, so the orbit search stops at its start with
+    # C = [[1]], and the witness carries the balancing B entry
     F4 = GF(2, 2)
     a = RingSpec(F4, 1, 1, 0, np.array([[[2]]]), (0,), (0,))
     d = RingSpec(F4, 1, 1, 0, np.array([[[3]]]), (0,), (0,))

@@ -14,6 +14,11 @@ remains as the explicit ``strategy="sweep"``.  Everything is
 deterministic: objects are held in ascending key order and every orbit
 is named by its minimum key.
 
+One orbit alone is closed by ``_orbit_bfs``, which records the action
+and parent of each new key: ``orbit_of`` runs it under
+``_group_actions``, and ``rings.iso_test`` under the sigma-twisted base
+changes, reading a transporter off the tree path.
+
 The ground set of spaces is held as its sorted keys only
 (``matspace.subspace_rows``).  The BFS decodes one block of them at a
 time into digit rows, except over GF(2) while a key fits int64
@@ -242,7 +247,8 @@ def _group_actions(F, s, use_frobenius=False):
     Z phi give every x_(i,i+1)(a), these generate SL(s, F), and with the
     diagonal GL(s, F).  So Z is in H, and so is phi = Z^-1 (Z phi).  At
     s = 1 phi is one more action, (None, True)."""
-    maps = linalg.kron_batch(F, gl.gl_generators(F, s))
+    gens = gl.gl_generators(F, s)
+    maps = linalg.kron_batch(F, gens, gens)
     if not (use_frobenius and F.r > 1):
         return [(P, False) for P in maps]
     if s >= 2:
@@ -346,7 +352,7 @@ def _ground_index(codes, keys):
 def _sweep_subspaces(F, s, t, use_frobenius, codes):
     q, m = F.q, s * s
     Gmats = gl.enumerate_gl(F, s)
-    P = linalg.kron_batch(F, Gmats)
+    P = linalg.kron_batch(F, Gmats, Gmats)
     exps = list(F.automorphism_exponents()) if (use_frobenius and F.r > 1) else [0]
     N = len(codes)
     visited = np.zeros(N, dtype=bool)
@@ -491,44 +497,31 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
 
 # -- single-orbit closure --
 
-def orbit_of(F, obj, use_frobenius: bool = True, budget=None,
-             include_members: bool = False) -> OrbitResult:
-    """BFS closure of one matrix (congruence action) or one subspace
-    (equivalence action, Frobenius included unless disabled)."""
-    budget = resolve_budget(budget)
-    if isinstance(obj, SubspaceKey):
-        kind = "subspace"
-        s, t = obj.s, obj.rank
-        start = np.array(obj.flat, dtype=np.int64)
-        frob = use_frobenius
-    else:
-        kind = "congruence"
-        A = linalg.mat(F, obj)
-        s = A.shape[0]
-        if A.shape != (s, s):
-            raise ValueError(f"matrix is not square: {A.shape}")
-        t = 1
-        start = A.reshape(-1)
-        frob = False
-    m = s * s
-    q = F.q
-    acts = _group_actions(F, s, frob)
-
-    def canon(batch):
-        # batch (B, t*m) -> canonical rows
-        if kind == "congruence":
-            return batch
-        return _canon_rows(F, batch.reshape(-1, t, m), t).reshape(-1, t * m)
-
-    frontier = canon(start[None, :])
-    seen = linalg.encode_rows(frontier, q)      # sorted keys found so far
-    rep_row = frontier[0]                       # the row of seen[0]
+def _orbit_bfs(F, start, acts, canon, budget, target=None):
+    """Breadth-first closure of the orbit of one object, a (t, m) block,
+    under ``acts``, (P, twist) pairs applied by ``_image``; ``canon``
+    brings a stack of images (B, t, m) to canonical form.  Each level keeps
+    the first image of every new key and its index i among the level's
+    images: i // len(frontier) is the action and i % len(frontier) the
+    parent.  Returns the sorted keys found, the block of the least, and the
+    actions along the tree path from ``start`` to the ``target`` key, read
+    back at the level where it appears; None when no key is the target."""
+    frontier = canon(start[None])
+    n = frontier[0].size
+    keys = seen = linalg.encode_rows(frontier.reshape(1, n), F.q)
+    rep = frontier[0]                           # the block of seen[0]
+    sources = []                                # per level: (indices, frontier size)
     n_actions = 0
     while len(frontier):
-        V = frontier.reshape(len(frontier), t, m)
-        imgs = canon(np.concatenate([_image(F, V, P, twist).reshape(-1, t * m)
-                                     for P, twist in acts]))
-        keys = linalg.encode_rows(imgs, q)
+        hit = np.flatnonzero(keys == target)
+        if len(hit):
+            j, path = hit[0], []
+            for src, width in reversed(sources):
+                action, j = divmod(int(src[j]), width)
+                path.insert(0, action)
+            return seen, rep, path
+        imgs = canon(np.concatenate([_image(F, frontier, P, twist) for P, twist in acts]))
+        keys = linalg.encode_rows(imgs.reshape(len(imgs), n), F.q)
         n_actions += len(keys)
         if n_actions > budget:
             raise _over_budget(f"orbit closure reached {n_actions} actions", budget)
@@ -537,16 +530,34 @@ def orbit_of(F, obj, use_frobenius: bool = True, budget=None,
         fresh = seen[np.minimum(pos, len(seen) - 1)] != keys
         if fresh.any() and pos[fresh][0] == 0:
             # the least fresh key goes before every key seen: a new minimum
-            rep_row = imgs[first[fresh][0]]
+            rep = imgs[first[fresh][0]]
         seen = np.insert(seen, pos[fresh], keys[fresh])
-        frontier = imgs[first[fresh]]
-    if kind == "subspace":
-        rep = SubspaceKey.from_rref(s, t, rep_row)
+        sources.append((first[fresh], len(frontier)))
+        frontier, keys = imgs[first[fresh]], keys[fresh]
+    return seen, rep, None
+
+
+def orbit_of(F, obj, use_frobenius: bool = True, budget=None,
+             include_members: bool = False) -> OrbitResult:
+    """BFS closure (``_orbit_bfs``) of one matrix (congruence action) or
+    one subspace (equivalence action, Frobenius included unless disabled)."""
+    subspace = isinstance(obj, SubspaceKey)
+    if subspace:
+        s, t = obj.s, obj.rank
+        start = np.array(obj.rows, dtype=np.int64)
     else:
-        rep = rep_row.reshape(s, s)
+        A = linalg.mat(F, obj)
+        s = A.shape[0]
+        if A.shape != (s, s):
+            raise ValueError(f"matrix is not square: {A.shape}")
+        t, start = 1, A.reshape(1, s * s)
+    seen, rep, _ = _orbit_bfs(
+        F, start, _group_actions(F, s, use_frobenius and subspace),
+        (lambda V: _canon_rows(F, V, t)) if subspace else (lambda V: V),
+        resolve_budget(budget))
     return OrbitResult(
-        kind=kind,
-        canonical_rep=rep,
+        kind="subspace" if subspace else "congruence",
+        canonical_rep=SubspaceKey.from_rref(s, t, rep) if subspace else rep.reshape(s, s),
         orbit_size=len(seen),
         members=tuple(seen.tolist()) if include_members else None,
     )

@@ -23,8 +23,8 @@ from .counting import (NotCoveredError, congruence_class_count, count_s1,
                        count_t_full, gaussian_binomial, predicted_count)
 from .gf import GF
 from .matspace import bilinear_class_reps, symmetric_reps
-from .rings import (Ring, RingSpec, check_axioms, iso_test, ring_structure,
-                    verify_witness)
+from .rings import (Ring, RingSpec, check_axioms, equivalent_spec, iso_test,
+                    ring_structure, verify_witness)
 
 
 def _np_default(o):
@@ -177,6 +177,12 @@ def _checks(scope: str) -> list:
         w = iso_test(a, d)
         return w is not None and verify_witness(a, d, w, exhaustive=True)
 
+    def twisted_pair():
+        a = RingSpec(GF(3, 2), 2, 1, 0, np.array([[[3, 8], [0, 2]]]), (1, 1), (0,))
+        d = equivalent_spec(a, [[2, 2], [3, 4]], sigma_e=1, B=[[5]])
+        w = iso_test(a, d)
+        return w is not None and verify_witness(a, d, w)
+
     def order16():
         F = GF(2)
         spec = RingSpec(F, 2, 1, 0, np.array([[[1, 0], [0, 1]]]), (0, 0), (0,))
@@ -235,6 +241,10 @@ def _checks(scope: str) -> list:
              "scaling merges p+6 congruence pairs; sweep, generator BFS, and "
              "a raw minimum-over-group scan agree",
              15, classes(3, 1, 3, 1)),
+            ("twisted isomorphism witness, s=2 over GF(9)",
+             "orbit transporter of A -> C^T A Frob(C), C off the fixed subfield, "
+             "checked on basis pairs",
+             True, twisted_pair),
             ("listed plane reps are pairwise inequivalent, s=2 over GF(5)",
              "q+7 canonical orbits",
              congruence_class_count(5, 2),

@@ -6,15 +6,10 @@ import numpy as np
 
 from . import linalg
 
-__all__ = ["gl_order", "det_batch", "gl_chunks", "enumerate_gl", "gl_generators"]
+__all__ = ["gl_order", "det_batch", "enumerate_gl", "gl_generators"]
 
 # groups of more elements than this are never enumerated densely
 ENUM_LIMIT = 2 * 10 ** 7
-# matrices per chunk of gl_chunks.  iso_test holds one chunk at a time; at
-# 2^16 a freed GF(5), s = 3 chunk went back to the system and the next one
-# faulted its pages in afresh (about 4x the minor faults), at 2^14 the
-# memory is reused
-_GL_CHUNK = 1 << 14
 
 
 def gl_order(q: int, s: int) -> int:
@@ -43,17 +38,6 @@ def det_batch(F, A) -> np.ndarray:
     return np.array([linalg.det(F, M) for M in A], dtype=np.int64)
 
 
-def _check_enum_limit(q: int, s: int) -> None:
-    """Refuse to enumerate GL(s, q) when its order, the number of matrices
-    ``gl_chunks`` builds, exceeds ``ENUM_LIMIT``."""
-    order = gl_order(q, s)
-    if order > ENUM_LIMIT:
-        raise ValueError(
-            f"GL({s}, {q}) has {order} elements, over the enumeration "
-            f"limit of {ENUM_LIMIT} (change it with ringforge.gl.ENUM_LIMIT)"
-        )
-
-
 def _extend(F, prefixes: np.ndarray) -> np.ndarray:
     """Every extension of each k-row prefix (n, k, s) by a row outside its
     span, prefix by prefix and each prefix's new rows ascending by code."""
@@ -72,36 +56,24 @@ def _extend(F, prefixes: np.ndarray) -> np.ndarray:
         [prefixes[which], linalg.decode_codes(rows, q, s)[:, None, :]], axis=1)
 
 
-def gl_chunks(F, s: int):
-    """GL(s, F) ascending by integer encoding, as consecutive chunks of at
-    most ``_GL_CHUNK`` matrices.
-
-    The (s-1)-row prefixes are built whole; each chunk is the set of full
-    extensions of a block of consecutive prefixes, or, where one prefix's
-    q^s - q^(s-1) extensions exceed the cap, a slice of them.  Prefixes
-    and their extensions are both visited in ascending code order, so
-    every chunk is ascending and each one starts above the last.  The
-    enumeration limit is checked before the first chunk is built.
-    """
-    _check_enum_limit(F.q, s)
-    prefixes = np.zeros((1, 0, s), dtype=np.int64)
-    for _ in range(s - 1):
-        prefixes = _extend(F, prefixes)
-    per = max(1, _GL_CHUNK // (F.q ** s - F.q ** (s - 1)))
-    for lo in range(0, len(prefixes), per):
-        block = _extend(F, prefixes[lo:lo + per])
-        for i in range(0, len(block), _GL_CHUNK):
-            yield block[i:i + _GL_CHUNK]
-
-
 def enumerate_gl(F, s: int) -> np.ndarray:
     """All invertible s x s matrices, ascending by integer encoding.
 
     Built row by row: each prefix of k independent rows is extended by
-    every vector outside its span.  This is the concatenation of
-    ``gl_chunks``, so the output needs no sort.
+    every vector outside its span.  Prefixes and their extensions are both
+    visited in ascending code order, so the output needs no sort.  A group
+    of more than ``ENUM_LIMIT`` elements is refused before any row is built.
     """
-    return np.concatenate(list(gl_chunks(F, s)))
+    order = gl_order(F.q, s)
+    if order > ENUM_LIMIT:
+        raise ValueError(
+            f"GL({s}, {F.q}) has {order} elements, over the enumeration "
+            f"limit of {ENUM_LIMIT} (change it with ringforge.gl.ENUM_LIMIT)"
+        )
+    out = np.zeros((1, 0, s), dtype=np.int64)
+    for _ in range(s):
+        out = _extend(F, out)
+    return out
 
 
 def gl_generators(F, s: int) -> np.ndarray:

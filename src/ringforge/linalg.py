@@ -9,7 +9,7 @@ GF(q)-linear maps that act on many vectors (the group tensor of the
 orbit engines) are held lowered to Z_p, q = p^r: ``lower`` replaces each
 entry c of an (m, m2) matrix by the r x r matrix of multiplication by c,
 whose row i holds the digits of c*x^i, giving an (m*r, m2*r) matrix over
-Z_p.  ``kron_batch`` returns kron(C, C) in this form and
+Z_p.  ``kron_batch`` returns kron(C, D) in this form and
 ``linmap_apply`` applies it to the digit vectors of GF codes as a float
 matmul (BLAS) reduced mod p, the same code for every field.  A lowered
 map is stored in float32 while a dot product's bound m*r*(p-1)^2 is
@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "mat", "identity", "mat_mul", "mat_vec", "rref", "rank",
+    "mat", "identity", "mat_mul", "rref", "rank",
     "det", "inv_mat", "solve", "lower", "kron_batch",
     "linmap_apply", "rref_batch", "encode_rows", "decode_codes",
 ]
@@ -69,10 +69,6 @@ def mat_mul(F, A, B) -> np.ndarray:
     for k in range(A.shape[-1]):
         out = F._add_raw(out, F._mul_raw(A[..., k, None], B[k, ...][None, :]))
     return out
-
-
-def mat_vec(F, A, v) -> np.ndarray:
-    return mat_mul(F, A, np.asarray(v, dtype=np.int64)[:, None])[..., 0]
 
 
 def rref(F, M):
@@ -191,22 +187,23 @@ def lower(F, P) -> np.ndarray:
     return out.reshape(*lead, m * r, m2 * r)
 
 
-def kron_batch(F, C) -> np.ndarray:
-    """Per-item kron(C_g, C_g), lowered to Z_p, for a stack (G, s, s).
+def kron_batch(F, C, D) -> np.ndarray:
+    """Per-item kron(C_g, D_g), lowered to Z_p, for two stacks (G, s, s).
 
-    Row-major flattening makes vec(C^T A C) = vec(A) @ kron(C, C), which is
-    the whole reason this exists.  The output (G, s*s*r, s*s*r) is written
-    in ``_lowered_dtype`` chunk by chunk, so no GF-coded (G, s*s, s*s)
-    stack is ever held whole.
+    Row-major flattening makes vec(C^T A D) = vec(A) @ kron(C, D), which is
+    the whole reason this exists; congruence passes one stack twice.  The
+    output (G, s*s*r, s*s*r) is written in ``_lowered_dtype`` chunk by
+    chunk, so no GF-coded (G, s*s, s*s) stack is ever held whole.
     """
     C = np.asarray(C, dtype=np.int64)
+    D = np.asarray(D, dtype=np.int64)
     G, s, _ = C.shape
     m = s * s
     out = np.empty((G, m * F.r, m * F.r), dtype=_lowered_dtype(F, m))
     for lo in range(0, G, _KRON_CHUNK):
-        part = C[lo:lo + _KRON_CHUNK]
-        K = F._mul_raw(part[:, :, None, :, None], part[:, None, :, None, :])
-        out[lo:lo + len(part)] = lower(F, K.reshape(len(part), m, m))
+        c, d = C[lo:lo + _KRON_CHUNK], D[lo:lo + _KRON_CHUNK]
+        K = F._mul_raw(c[:, :, None, :, None], d[:, None, :, None, :])
+        out[lo:lo + len(c)] = lower(F, K.reshape(len(c), m, m))
     return out
 
 

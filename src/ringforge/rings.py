@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gl, linalg
+from .classify import _canon_rows, _orbit_bfs, resolve_budget
 from .gf import GF
 
 __all__ = [
@@ -484,8 +485,9 @@ class IsoWitness:
 
 
 def _tail_alignment(theta_a, theta_d, t):
-    """Source tail slot -> target tail slot, pairing the k-th occurrence of
-    each exponent with its k-th occurrence; None when the multisets differ."""
+    """Source tail slot -> target tail slot (the whole lists at t = 0, as
+    for sigma), pairing the k-th occurrence of each exponent with its k-th
+    occurrence; None when the multisets differ."""
     tail_a = np.asarray(theta_a[t:], dtype=np.int64)
     tail_d = np.asarray(theta_d[t:], dtype=np.int64)
     order_a = np.argsort(tail_a, kind="stable")
@@ -569,104 +571,119 @@ def _check_same_invariants(specA: RingSpec, specD: RingSpec):
         )
 
 
-def _span_invariant(F: GF, mats: np.ndarray) -> np.ndarray:
-    """Sorted (rank M, rank(M + M^T), rank(M - M^T)) codes over one M per
-    projective point of span(A_1..A_t).
-
-    Congruence, recombination and Frobenius map the span's points onto
-    the image span's points and keep all three ranks, so two spans that
-    ``iso_test`` could match have equal invariants.
-    """
+def _span_invariant(F: GF, mats: np.ndarray, sigma) -> np.ndarray:
+    """Sorted codes (theta, rank M, and rank(M +- M^T) when every sigma_i
+    is 0) over one M per projective point of each theta class, the span
+    of the A_k of one theta_k, which an isomorphism maps onto the class of
+    the same theta.  Such an M is nonzero only where
+    sigma_i + sigma_j = theta, so ``_twist_maps`` maps its block
+    (x, theta - x) to C_x^T M_(x, theta - x) Frob_x(C_(theta - x)), of the
+    same rank; a point that mixes classes can change rank."""
     t, s, _ = mats.shape
     q = F.q
-    codes = linalg.decode_codes(np.arange(1, q ** t), q, t)
-    lead = codes[np.arange(len(codes)), (codes != 0).argmax(axis=1)]
-    points = codes[lead == 1]                       # first nonzero entry 1
-    M = linalg.linmap_apply(F, points, linalg.lower(F, mats.reshape(t, s * s)))
-    M = M.reshape(-1, s, s)
-    Mt = M.transpose(0, 2, 1)
-    ranks = [linalg.rref_batch(F, X)[1]
-             for X in (M, F._add_raw(M, Mt), F._add_raw(M, F._neg_raw(Mt)))]
-    return np.sort(((ranks[0] * (s + 1)) + ranks[1]) * (s + 1) + ranks[2])
+    flat = mats.reshape(t, s * s)
+    first = (flat != 0).argmax(axis=1)
+    sig = np.asarray(sigma)
+    theta = (sig[first // s] + sig[first % s]) % F.r
+    out = []
+    for th in np.unique(theta):
+        sub = flat[theta == th]
+        codes = linalg.decode_codes(np.arange(1, q ** len(sub)), q, len(sub))
+        lead = codes[np.arange(len(codes)), (codes != 0).argmax(axis=1)]
+        points = codes[lead == 1]                       # first nonzero entry 1
+        M = linalg.linmap_apply(F, points, linalg.lower(F, sub)).reshape(-1, s, s)
+        Mt = M.transpose(0, 2, 1)
+        forms = [M] if any(sigma) else [M, F._add_raw(M, Mt), F._add_raw(M, F._neg_raw(Mt))]
+        code = np.full(len(M), th, dtype=np.int64)
+        for X in forms:
+            code = code * (s + 1) + linalg.rref_batch(F, X)[1]
+        out.append(code)
+    return np.sort(np.concatenate(out))
 
 
-def _congruence_images(F: GF, rows: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """C_g^T A_k C_g for a stack C (G, s, s) and the rows (t*s, s) of
-    A_1..A_t, as (G, t, s*s): A_k C_g first, then (A_k C_g)^T C_g, which
-    is the transposed image."""
-    G, s, _ = C.shape
-    t = len(rows) // s
-    L = linalg.lower(F, C)
-    AC = linalg.linmap_apply(F, rows, L).reshape(G, t, s, s)
-    img = linalg.linmap_apply(F, AC.transpose(0, 1, 3, 2).reshape(G, t * s, s), L)
-    return img.reshape(G, t, s, s).transpose(0, 1, 3, 2).reshape(G, t, s * s)
+def _twist_maps(F: GF, C, sigma) -> np.ndarray:
+    """Lowered maps of a stack of base changes C (G, s, s) on structural
+    matrices: A -> sum_x C^T P_x A Frob_x(C), P_x keeping the rows i with
+    sigma_i = x, since row i of A_k meets u'_j through sigma_i.  The terms
+    kron(P_x C, Frob_x(C)) sit on disjoint rows, so their lowered sum is
+    exact.  Over the sigma-stabilizer {C : C_ij = 0 unless
+    sigma_i = sigma_j} this is a group action, as Frob_x is a ring
+    automorphism."""
+    C = np.asarray(C, dtype=np.int64)
+    sig = np.asarray(sigma)
+    return sum(linalg.kron_batch(F, np.where((sig == x)[:, None], C, 0), F._frob_raw(C, x))
+               for x in sorted(set(sigma)))
+
+
+def _stabilizer_generators(F: GF, sigma) -> np.ndarray:
+    """Generators of the sigma-stabilizer, the product of GL(s_x, q) over
+    the coordinates of each exponent x: ``gl.gl_generators`` of each
+    block, embedded in the identity (all of them for a uniform sigma)."""
+    sig = np.asarray(sigma)
+    gens = []
+    for x in sorted(set(sigma)):
+        block = np.flatnonzero(sig == x)
+        for g in gl.gl_generators(F, len(block)):
+            G = linalg.identity(len(sig))
+            G[np.ix_(block, block)] = g
+            gens.append(G)
+    return np.array(gens)
 
 
 def iso_test(specA: RingSpec, specD: RingSpec) -> IsoWitness | None:
-    """Search for an isomorphism witness; None means no certified witness.
+    """Search for an isomorphism witness; None means there is none.
 
-    The sigma lists and the structural theta lists must agree as
-    multisets and the tails must align (``_tail_alignment``); then the
-    span invariant of ``_span_invariant`` must agree on both sides, since
-    the pairs it rejects have no witness.  The search looks, for each
-    Frobenius power e in turn, for a C in GL(s, q) with
-    span(C^T Frob_e(A_k) C) = span(D_k), solves for the recombination B
-    and returns the first witness ``verify_witness`` certifies.  GL(s, q)
-    is walked in the ascending chunks of ``gl.gl_chunks``, each chunk's
-    images are computed directly as C^T A C, and the scan stops at the
-    first certified witness.  Each chunk's arrays are dropped before the
-    next chunk is built, so memory is bounded by one chunk however far the
-    scan goes, and the witness is the one an ascending scan of the whole
-    group finds first.
-    At s = t = 1 that is sigma 0, C = [[1]], B = [[d/a]].  GL(s, q) over
-    ``gl.ENUM_LIMIT`` is refused with a ValueError once the invariant
-    agrees.
+    The sigma lists must agree as multisets, the tails must align
+    (``_tail_alignment``) and the span invariants, which carry the theta
+    of each A_k, must agree.  No isomorphism joins U coordinates that
+    twist differently, so D's U coordinates are relabelled to A's sigma
+    order, k-th occurrence to k-th occurrence.  For each Frobenius power
+    e, ``classify._orbit_bfs`` grows the orbit of span(Frob_e(A_1..A_t))
+    under the sigma-stabilizer
+    until span(D_1..D_t) appears.  C is the product g_1 g_2 ... g_k of
+    the generators along its tree path, relabelling composed in, and B is
+    solved from the image of the A_k.  That image is nonzero only where
+    sigma_i + sigma_j = theta_k, so B keeps theta and the witness is an
+    isomorphism; one that ``verify_witness`` does not certify raises.  At
+    s = t = 1 the spans meet at once: sigma 0, C = [[1]], B = [[d/a]].
     """
     ringA, ringD = Ring(specA), Ring(specD)
     _check_same_invariants(specA, specD)
     F = ringA.field
     s, t = ringA.s, ringA.t
-    if sorted(ringA.sigma) != sorted(ringD.sigma):
-        return None
-    if sorted(ringA.theta[:t]) != sorted(ringD.theta[:t]):
-        return None
+    pi = _tail_alignment(ringA.sigma, ringD.sigma, 0)     # A coordinate -> D's
     perm = _tail_alignment(ringA.theta, ringD.theta, t)
-    if perm is None:
+    if pi is None or perm is None:
         return None
-    if not np.array_equal(_span_invariant(F, ringA.matrices),
-                          _span_invariant(F, ringD.matrices)):
+    if not np.array_equal(_span_invariant(F, ringA.matrices, ringA.sigma),
+                          _span_invariant(F, ringD.matrices, ringD.sigma)):
         return None
-    gl._check_enum_limit(F.q, s)
 
     m = s * s
-    D_rows = ringD.matrices.reshape(t, m)
+    D_rows = ringD.matrices[:, pi][:, :, pi].reshape(t, m)
     target_R, _ = linalg.rref(F, D_rows)
-    target_key = int(linalg.encode_rows(target_R.reshape(-1), F.q))
+    target = int(linalg.encode_rows(target_R.reshape(-1), F.q))
+    gens = _stabilizer_generators(F, ringA.sigma)
+    acts = [(P, False) for P in _twist_maps(F, gens, ringA.sigma)]
     for e in F.automorphism_exponents():
-        rows_e = F._frob_raw(ringA.matrices, e).reshape(t * s, s)
-        for Gmats in gl.gl_chunks(F, s):
-            imgs = _congruence_images(F, rows_e, Gmats)     # (G, t, m)
-            R, ranks = linalg.rref_batch(F, imgs)
-            keys = linalg.encode_rows(R.reshape(len(Gmats), t * m), F.q)
-            for ci in np.flatnonzero((keys == target_key) & (ranks == t)):
-                X = imgs[ci].copy()                     # t rows, the twisted A_k
-                cols = []
-                for rho in range(t):
-                    beta = linalg.solve(F, X.T, D_rows[rho])
-                    if beta is None:
-                        break
-                    cols.append(beta)
-                else:
-                    B = np.stack(cols, axis=1)
-                    if linalg.det(F, B) == 0:
-                        continue
-                    witness = IsoWitness(sigma=e, C=Gmats[ci].copy(), B=B, v_perm=perm)
-                    if verify_witness(specA, specD, witness):
-                        return witness
-            # drop this chunk before the next is built, so that one chunk,
-            # not two, is live at a time however far the scan goes; X and C
-            # above are copies, so no candidate keeps a chunk alive either
-            del Gmats, imgs, R, ranks, keys
+        A_rows = F._frob_raw(ringA.matrices, e).reshape(t, m)
+        _, _, path = _orbit_bfs(F, A_rows, acts, lambda V: _canon_rows(F, V, t),
+                                resolve_budget(), target)
+        if path is None:
+            continue
+        C = linalg.identity(s)
+        for a in path:
+            C = linalg.mat_mul(F, C, gens[a])
+        X = linalg.linmap_apply(F, A_rows, _twist_maps(F, C[None], ringA.sigma)[0])
+        cols = [linalg.solve(F, X.T, D_rows[rho]) for rho in range(t)]
+        C_D = np.empty_like(C)
+        C_D[:, pi] = C
+        witness = (None if any(c is None for c in cols)
+                   else IsoWitness(e, C_D, np.stack(cols, axis=1), perm))
+        if witness is None or not verify_witness(specA, specD, witness):
+            raise RuntimeError(f"the transporter at Frobenius power {e} "
+                               f"gives no certified witness")
+        return witness
     return None
 
 
@@ -675,12 +692,11 @@ def equivalent_spec(spec: RingSpec, C, sigma_e: int = 0, B=None,
     """The presentation reached by base change C, global Frobenius power
     sigma_e, and structural recombination B; the tail can be permuted.
 
-    Row i of the right-hand C factor is twisted by sigma_i, which is what
-    keeps the result a valid presentation whenever the sigma lists make
-    that meaningful; the supported regimes are identity automorphisms,
-    a shared sigma value with C over its fixed subfield, and s = t = 1.
+    C acts on each Frob_(sigma_e)(A_k) by ``_twist_maps``, the action
+    that ``verify_witness`` certifies as (sigma_e, C, B, tail_perm).
     C[i, j] != 0 with sigma_i != sigma_j is refused: no isomorphism joins
-    U coordinates that twist differently.  Validation happens in the Ring
+    U coordinates that twist differently.  A B that combines A_k of
+    different theta is refused too.  Validation happens in the Ring
     constructor of the result.
     """
     ring = Ring(spec)
@@ -702,18 +718,12 @@ def equivalent_spec(spec: RingSpec, C, sigma_e: int = 0, B=None,
     B = linalg.mat(F, B)
     if linalg.det(F, B) == 0:
         raise ValueError("B is singular")
-    right = np.stack([F.frobenius(C[mu], ring.sigma[mu]) for mu in range(s)])
-    twisted = []
-    for k in range(t):
-        Ak = F.frobenius(ring.matrices[k], sigma_e)
-        twisted.append(linalg.mat_mul(F, linalg.mat_mul(F, C.T, Ak), right))
-    new_mats = []
+    twisted = linalg.linmap_apply(
+        F, F._frob_raw(ring.matrices, sigma_e).reshape(t, s * s),
+        _twist_maps(F, C[None], ring.sigma)[0])
+    new_mats = linalg.mat_mul(F, B.T, twisted).reshape(t, s, s)
     new_theta_head = []
-    for rho in range(t):
-        M = np.zeros((s, s), dtype=np.int64)
-        for k in range(t):
-            M = F._add_raw(M, F._mul_raw(int(B[k, rho]), twisted[k]))
-        new_mats.append(M)
+    for rho, M in enumerate(new_mats):
         need = {
             (ring.sigma[i] + ring.sigma[j]) % F.r
             for i in range(s)
@@ -729,9 +739,5 @@ def equivalent_spec(spec: RingSpec, C, sigma_e: int = 0, B=None,
     new_tail = [0] * lam
     for mu in range(lam):
         new_tail[tail_perm[mu]] = tail[mu]
-    return RingSpec(
-        F, s, t, lam,
-        np.stack(new_mats) if new_mats else np.zeros((0, s, s), dtype=np.int64),
-        ring.sigma,
-        tuple(new_theta_head) + tuple(new_tail),
-    )
+    return RingSpec(F, s, t, lam, new_mats, ring.sigma,
+                    tuple(new_theta_head) + tuple(new_tail))

@@ -9,7 +9,7 @@ the package: plain itertools enumeration, float determinants (exact for
 the sizes and moduli involved), python-list elimination, and
 dictionary-based orbit bookkeeping.  ``iso_exhaustive`` is the
 whole-group isomorphism search that ``iso_test`` replaced: it shares no
-search order, prefilter or chunking with it.  ``congruence_sweep`` is
+search order, prefilter or orbit search with it.  ``congruence_sweep`` is
 the whole-group congruence classification that the generator BFS of
 ``classify_congruence`` replaced.  ``table_components`` labels the
 components of a BFS image table by a scalar graph search, not the
@@ -121,7 +121,8 @@ def congruence_sweep(F, s: int, symmetric_only: bool = False) -> dict:
 
     q, m = F.q, s * s
     total = q ** m
-    P = linalg.kron_batch(F, gl.enumerate_gl(F, s))
+    G = gl.enumerate_gl(F, s)
+    P = linalg.kron_batch(F, G, G)
     all_mats = linalg.decode_codes(np.arange(total), q, m).reshape(total, s, s)
     if symmetric_only:
         ground = np.flatnonzero((all_mats == all_mats.transpose(0, 2, 1)).all(axis=(1, 2)))
@@ -422,13 +423,16 @@ def tail_alignment_greedy(theta_a, theta_d, t):
 
 
 def iso_exhaustive(specA, specD):
-    """``iso_test`` by the whole-group search: the lowered kron(C, C) of
-    every element of GL(s, q) at once, every image eliminated, then the
-    candidates in ascending order of C within each Frobenius power.  No
-    invariant prefilter, no chunks."""
+    """``iso_test`` by the whole-group search: the lowered sigma-twisted
+    map of every element C of GL(s, q) at once (``rings._twist_maps``;
+    kron(C, C) when sigma is 0), every image eliminated, then the
+    candidates in ascending order of C within each Frobenius power.  A C
+    that joins U coordinates of different sigma is imaged too, so no
+    relabelling is needed; ``verify_witness`` decides.  No invariant
+    prefilter, no orbit search."""
     from ringforge import gl, linalg
     from ringforge.rings import (IsoWitness, Ring, _check_same_invariants,
-                                 _tail_alignment, verify_witness)
+                                 _tail_alignment, _twist_maps, verify_witness)
 
     ringA, ringD = Ring(specA), Ring(specD)
     _check_same_invariants(specA, specD)
@@ -447,7 +451,7 @@ def iso_exhaustive(specA, specD):
     target_R, _ = linalg.rref(F, D_rows)
     target_key = int(linalg.encode_rows(target_R.reshape(-1), F.q))
     Gmats = gl.enumerate_gl(F, s)
-    P = linalg.kron_batch(F, Gmats)
+    P = _twist_maps(F, Gmats, ringA.sigma)
     for e in F.automorphism_exponents():
         imgs = linalg.linmap_apply(F, F._frob_raw(VA, e), P)    # (G, t, m)
         R, ranks = linalg.rref_batch(F, imgs)

@@ -289,7 +289,8 @@ def test_group_actions_fold_the_frobenius_into_the_shift(p, r, s, use_frobenius,
     F = GF(p, r)
     acts = classify_module._group_actions(F, s, use_frobenius)
     assert [None if P is None else twist for P, twist in acts] == shape
-    maps = la.kron_batch(F, gl_module.gl_generators(F, s))
+    gens = gl_module.gl_generators(F, s)
+    maps = la.kron_batch(F, gens, gens)
     assert all(np.array_equal(P, L) for (P, _), L in zip(acts, maps))
     # a folded action is the shift Z of the Frobenius image
     rng = np.random.default_rng(p + r + s)

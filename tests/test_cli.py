@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ringforge import GF, RingSpec
+from ringforge import GF, RingSpec, equivalent_spec
 from ringforge.cli import main
 
 from conftest import prime_spec
@@ -134,6 +134,17 @@ def test_iso_twisted_pair_has_no_mode_option(capsys, tmp_path):
                                           "v_perm": [0]}
     with pytest.raises(SystemExit):
         main(["iso", "--left", left, "--right", right, "--mode", "central"])
+
+
+def test_iso_twisted_witness_off_the_fixed_subfield(capsys, tmp_path):
+    F9 = GF(3, 2)
+    a = RingSpec(F9, 2, 1, 0, np.array([[[3, 8], [0, 2]]]), (1, 1), (0,))
+    d = equivalent_spec(a, [[2, 2], [3, 4]], sigma_e=1, B=[[5]])
+    left = write_spec(tmp_path, "a.json", a)
+    right = write_spec(tmp_path, "d.json", d)
+    code, out, _ = run_cli(capsys, "iso", "--left", left, "--right", right)
+    assert code == 0
+    assert '"isomorphic": true' in out
 
 
 def test_iso_distinct_classes(capsys, tmp_path):

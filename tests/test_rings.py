@@ -663,9 +663,8 @@ def test_equivalent_spec_returns_only_isomorphic_presentations(seed):
     s = int(rng.integers(1, 3))
     spec = random_spec(rng, F, s, int(rng.integers(1, min(2, s * s) + 1)),
                        int(rng.integers(0, 2)))
-    # C joins coordinates of different sigma in some draws; a twisted
-    # presentation is supported for C over the prime field
-    C = random_invertible(rng, F, s, q=F.p if any(spec.sigma) else None)
+    # C joins coordinates of different sigma in some draws
+    C = random_invertible(rng, F, s)
     across = np.not_equal.outer(spec.sigma, spec.sigma)
     if rng.integers(0, 2):
         C = np.where(across, 0, C)
@@ -712,10 +711,12 @@ def test_iso_round_trip_random(seed):
 
 # -- iso_test against the whole-group search ------------------------------
 
-def random_invertible(rng, F, s, q=None):
-    """A random invertible s x s matrix with entries below q (default F.q)."""
+def random_invertible(rng, F, s, sigma=None):
+    """A random invertible s x s matrix over F; given sigma, zero wherever
+    sigma_i != sigma_j, so that it lies in the sigma-stabilizer."""
+    keep = True if sigma is None else np.equal.outer(sigma, sigma)
     while True:
-        C = rng.integers(0, q or F.q, size=(s, s), dtype=np.int64)
+        C = np.where(keep, rng.integers(0, F.q, size=(s, s), dtype=np.int64), 0)
         if la.det(F, C) != 0:
             return C
 
@@ -736,18 +737,18 @@ def twisted_spec(rng, F, s, t, lam):
                     (2 % F.r,) * t + tail)
 
 
-def partner(rng, spec, twisted):
-    """equivalent_spec with a random C, B, Frobenius power and tail
-    permutation; a twisted spec needs C over the prime field."""
+def partner(rng, spec):
+    """equivalent_spec with a random C over the whole field, zeroed across
+    sigma blocks, and a random B, Frobenius power and tail permutation."""
     F = spec.field
-    C = random_invertible(rng, F, spec.s, q=F.p if twisted else None)
+    C = random_invertible(rng, F, spec.s, spec.sigma)
     return equivalent_spec(spec, C, sigma_e=int(rng.integers(0, F.r)),
                            B=random_invertible(rng, F, spec.t),
                            tail_perm=tuple(int(i) for i in rng.permutation(spec.lam)))
 
 
-# (p, r, s, t, lambda, presentations); s <= 3 wherever GL(s, q) is within
-# ENUM_LIMIT
+# (p, r, s, t, lambda, presentations); the oracle enumerates GL(s, q), so
+# s <= 3 wherever it is within ENUM_LIMIT
 ISO_ORACLE_CELLS = [
     (2, 1, 1, 1, 1, "central"), (2, 1, 2, 1, 1, "central"),
     (2, 1, 3, 2, 1, "central"), (2, 1, 3, 3, 0, "central"),
@@ -760,30 +761,32 @@ ISO_ORACLE_CELLS = [
     (2, 3, 2, 1, 0, "central"), (2, 3, 2, 2, 1, "central"),
     (3, 2, 2, 1, 1, "central"), (3, 2, 2, 3, 0, "central"),
     (2, 2, 2, 1, 1, "twisted"), (2, 3, 2, 2, 0, "twisted"),
-    (3, 2, 2, 1, 1, "twisted"),
+    (3, 2, 2, 1, 1, "twisted"), (3, 2, 2, 2, 0, "twisted"),
+    (2, 3, 2, 1, 1, "twisted"),
+    (2, 2, 2, 2, 0, "mixed"), (3, 2, 2, 1, 0, "mixed"),
 ]
 
 
 def test_iso_matches_exhaustive_oracle():
     seen = set()
+    makers = {"central": central_spec, "twisted": twisted_spec, "mixed": random_spec}
     for p, r, s, t, lam, kind in ISO_ORACLE_CELLS:
         F = GF(p, r)
-        twisted = kind == "twisted"
-        make = twisted_spec if twisted else central_spec
-        rng = np.random.default_rng([p, r, s, t, lam, twisted])
+        make = makers[kind]
+        rng = np.random.default_rng([p, r, s, t, lam, list(makers).index(kind)])
         for _ in range(2):
             a = make(rng, F, s, t, lam)
-            for d in (partner(rng, a, twisted), make(rng, F, s, t, lam)):
+            for d in (partner(rng, a), make(rng, F, s, t, lam)):
                 got = iso_test(a, d)
                 want = iso_exhaustive(a, d)
                 assert (got is None) == (want is None), (a, d)
+                # the orbit search and the oracle may find different witnesses
                 if got is not None:
-                    assert got.sigma == want.sigma
-                    assert np.array_equal(got.C, want.C)
-                    assert np.array_equal(got.B, want.B)
-                    assert got.v_perm == want.v_perm
-                same_span = np.array_equal(rings._span_invariant(F, a.matrices),
-                                           rings._span_invariant(F, d.matrices))
+                    assert verify_witness(a, d, got,
+                                          exhaustive=a.order <= rings._TABLE_LIMIT)
+                same_span = np.array_equal(
+                    rings._span_invariant(F, a.matrices, a.sigma),
+                    rings._span_invariant(F, d.matrices, d.sigma))
                 seen.add((got is not None, same_span))
     # witnesses, prefilter rejections, and full scans that find nothing
     assert seen == {(True, True), (False, False), (False, True)}
@@ -797,85 +800,103 @@ def test_span_invariant_unchanged_by_equivalent_spec(seed):
     F = GF(p, r)
     s = int(rng.integers(1, 4))
     t = int(rng.integers(1, min(3, s * s) + 1))
-    a = central_spec(rng, F, s, t, 0)
-    d = partner(rng, a, twisted=False)
-    assert np.array_equal(rings._span_invariant(F, a.matrices),
-                          rings._span_invariant(F, d.matrices))
+    make = twisted_spec if F.r > 1 and rng.integers(0, 2) else central_spec
+    a = make(rng, F, s, t, 0)
+    d = partner(rng, a)
+    assert np.array_equal(rings._span_invariant(F, a.matrices, a.sigma),
+                          rings._span_invariant(F, d.matrices, d.sigma))
 
 
 def test_span_invariant_rejects_before_any_search(monkeypatch):
-    def no_search(F, s):
-        raise AssertionError("GL(s, q) was enumerated")
+    def no_search(*args, **kwargs):
+        raise AssertionError("an orbit was searched")
 
-    monkeypatch.setattr(gl, "gl_chunks", no_search)
+    monkeypatch.setattr(rings, "_orbit_bfs", no_search)
     a = prime_spec(5, [[1, 2, 0], [0, 1, 3], [1, 0, 1]])
     d = prime_spec(5, [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
     assert la.rank(GF(5), a.matrices[0]) == 3
     assert la.rank(GF(5), d.matrices[0]) == 2
     assert iso_test(a, d) is None
-    # a pair the invariant separates needs no enumeration, at any limit
-    monkeypatch.setattr(gl, "ENUM_LIMIT", 100)
-    assert iso_test(a, d) is None
-    monkeypatch.undo()
-    # GL(3, 7) is over the default limit
     assert iso_test(prime_spec(7, np.eye(3, dtype=np.int64)),
                     prime_spec(7, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])) is None
 
 
-def test_enum_limit_refuses_pairs_the_invariant_cannot_separate(monkeypatch):
-    a = prime_spec(5, [[1, 2, 0], [0, 1, 3], [1, 0, 1]])
-    d = equivalent_spec(a, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    assert np.array_equal(rings._span_invariant(GF(5), a.matrices),
-                          rings._span_invariant(GF(5), d.matrices))
+def test_iso_admits_pairs_the_invariant_cannot_separate(monkeypatch):
+    """The orbit search enumerates no group, so ENUM_LIMIT does not bound
+    it: GF(7), s = 3 is admitted, though GL(3, 7) has 33.8M elements."""
+    def no_enumeration(F, s):
+        raise AssertionError("GL(s, q) was enumerated")
+
     monkeypatch.setattr(gl, "ENUM_LIMIT", 100)
-    with pytest.raises(ValueError, match=r"ringforge\.gl\.ENUM_LIMIT"):
-        iso_test(a, d)
-    monkeypatch.undo()
-    a = prime_spec(7, np.eye(3, dtype=np.int64))
-    with pytest.raises(ValueError, match=r"ringforge\.gl\.ENUM_LIMIT"):
-        iso_test(a, equivalent_spec(a, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
-
-
-def test_iso_scan_holds_one_chunk(monkeypatch):
-    """No chunk of GL(s, q) is alive when the next one is built, and the
-    returned witness does not pin the chunk it came from."""
-    import weakref
-
-    real = gl.gl_chunks
-    built = []
-
-    def tracked(F, s):
-        chunks = real(F, s)
-        while True:
-            # the generator resumes here, before it builds the next chunk
-            assert not built or built[-1]() is None, f"chunk {len(built)} still alive"
-            chunk = next(chunks, None)
-            if chunk is None:
-                return
-            built.append(weakref.ref(chunk))
-            yield chunk
-            del chunk
-
-    monkeypatch.setattr(gl, "gl_chunks", tracked)
-    monkeypatch.setattr(gl, "_GL_CHUNK", 1)     # one matrix a chunk
+    monkeypatch.setattr(gl, "enumerate_gl", no_enumeration)
+    C = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
     a = prime_spec(5, [[1, 2, 0], [0, 1, 3], [1, 0, 1]])
-    d = equivalent_spec(a, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    b = prime_spec(7, np.eye(3, dtype=np.int64))
+    for a, d in ((a, equivalent_spec(a, C)), (b, equivalent_spec(b, C))):
+        assert np.array_equal(rings._span_invariant(a.field, a.matrices, a.sigma),
+                              rings._span_invariant(a.field, d.matrices, d.sigma))
+        w = iso_test(a, d)
+        assert w is not None and verify_witness(a, d, w)
+
+
+def test_iso_twisted_witness_outside_the_fixed_subfield(monkeypatch):
+    """sigma = (1, 1) over GF(9) with C = [[2, 2], [3, 4]], not over GF(3):
+    the action is A -> C^T A Frob(C), which keeps neither M + M^T nor
+    M - M^T, and the congruence C^T A C does not reach D."""
+    F = GF(3, 2)
+    a = RingSpec(F, 2, 1, 0, np.array([[[3, 8], [0, 2]]], np.int64), (1, 1), (0,))
+    d = equivalent_spec(a, [[2, 2], [3, 4]], sigma_e=1, B=[[5]])
     w = iso_test(a, d)
-    assert verify_witness(a, d, w)
-    assert len(built) >= 3
-    assert w.C.base is None and built[-1]() is None
+    assert w is not None and verify_witness(a, d, w)
+    monkeypatch.setattr(rings, "_TABLE_LIMIT", 6561)
+    assert verify_witness(a, d, w, exhaustive=True)
 
 
-def test_iso_scan_lowers_at_most_one_capped_chunk():
-    """GL(1, 2^16) is one prefix's 65535 extensions; gl_chunks splits them
-    into chunks of _GL_CHUNK matrices, so the scan that finds C = [[1]]
-    lowers 16384 (16, 16) float32 maps, 16.8 MB, not 67 MB."""
+def test_span_invariant_keeps_theta_classes_apart():
+    """sigma = (0, 1, 0) with theta = (1, 0): a point of span(A_1, A_2)
+    that mixes the two theta classes can change rank under the twisted
+    action.  Over all 5 points the ranks are {2: 2, 3: 3} for A and
+    {2: 1, 3: 4} for D (found by seeded draws), so only the ranks within
+    each class are compared."""
+    F = GF(2, 2)
+    mats = np.array([[[0, 3, 0], [2, 0, 2], [0, 3, 0]],
+                     [[1, 0, 0], [0, 2, 0], [2, 0, 2]]], np.int64)
+    a = RingSpec(F, 3, 2, 0, mats, (0, 1, 0), (1, 0))
+    d = equivalent_spec(a, [[3, 0, 3], [0, 2, 0], [2, 0, 0]])
+    assert np.array_equal(rings._span_invariant(F, a.matrices, a.sigma),
+                          rings._span_invariant(F, d.matrices, d.sigma))
+    w = iso_test(a, d)
+    assert w is not None and verify_witness(a, d, w)
+
+
+def test_iso_relabels_permuted_sigma():
+    # the same ring with its two U coordinates swapped: sigma (0, 1) -> (1, 0)
+    F = GF(2, 2)
+    a = RingSpec(F, 2, 1, 0, np.array([[[2, 0], [0, 0]]], np.int64), (0, 1), (0,))
+    d = RingSpec(F, 2, 1, 0, np.array([[[0, 0], [0, 2]]], np.int64), (1, 0), (0,))
+    w = iso_test(a, d)
+    assert w is not None and verify_witness(a, d, w, exhaustive=True)
+    assert iso_exhaustive(a, d) is not None
+    # a base change inside the sigma blocks and a Frobenius, then the U
+    # coordinates relabelled from sigma (0, 1, 0) to (1, 0, 0)
+    mats = np.array([[[0, 3, 0], [2, 0, 2], [0, 3, 0]],
+                     [[1, 0, 0], [0, 2, 0], [2, 0, 2]]], np.int64)
+    a = RingSpec(F, 3, 2, 0, mats, (0, 1, 0), (1, 0))
+    b = equivalent_spec(a, [[3, 0, 3], [0, 2, 0], [2, 0, 0]], sigma_e=1)
+    p = [1, 2, 0]
+    d = RingSpec(F, 3, 2, 0, b.matrices[:, p][:, :, p], (1, 0, 0), b.theta)
+    w = iso_test(a, d)
+    assert w is not None and verify_witness(a, d, w)
+
+
+def test_iso_gf_2_16_s1_allocates_little():
+    """At s = 1 the spans of A and D meet before any image is computed,
+    so GF(2^16), whose GL(1) has 65535 elements, costs well under 32 MB."""
     import tracemalloc
 
     F = GF(2, 16)
     a = RingSpec(F, 1, 1, 0, np.array([[[12345]]], np.int64), (0,), (0,))
     d = equivalent_spec(a, [[777]])
-    assert all(len(C) <= gl._GL_CHUNK for C in gl.gl_chunks(F, 1))
     tracemalloc.start()
     try:
         w = iso_test(a, d)
