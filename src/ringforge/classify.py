@@ -15,9 +15,10 @@ deterministic: objects are held in ascending key order and every orbit
 is named by its minimum key.
 
 One orbit alone is closed by ``_orbit_bfs``, which records the action
-and parent of each new key: ``orbit_of`` runs it under
-``_group_actions``, and ``rings.iso_test`` under the sigma-twisted base
-changes, reading a transporter off the tree path.
+and parent of each new key.  ``_group_actions`` is the one action
+builder: the engines and ``orbit_of`` take it at sigma = 0, and
+``rings.iso_test`` at the U twist vector of its first ring, Frobenius
+folded in, reading a transporter (C, e) off the tree path.
 
 The ground set of spaces is held as its sorted keys only
 (``matspace.subspace_rows``).  The BFS decodes one block of them at a
@@ -228,32 +229,66 @@ def _bfs_orbits(N, load, actions, locate):
     return zip(firsts, sizes)
 
 
-def _group_actions(F, s, use_frobenius=False):
-    """The actions a BFS applies to every object, as (P, twist) pairs: P
-    is the lowered map A -> C^T A C of a generator C of ``gl.gl_generators``
-    or None, and twist says the entrywise Frobenius phi comes first.
+def _twist_maps(F, C, sigma) -> np.ndarray:
+    """Lowered maps of a stack of base changes C (G, s, s) on structural
+    matrices: A -> sum_x C^T P_x A Frob_x(C), P_x keeping the rows i with
+    sigma_i = x, since row i of A_k meets u'_j through sigma_i.  The terms
+    kron(P_x C, Frob_x(C)) sit on disjoint rows, so their lowered sum is
+    exact.  Over the sigma-stabilizer {C : C_ij = 0 unless
+    sigma_i = sigma_j} this is a group action, as Frob_x is a ring
+    automorphism.  At sigma = 0 it is ``kron_batch(F, C, C)``, congruence."""
+    C = np.asarray(C, dtype=np.int64)
+    sig = np.asarray(sigma)
+    return sum(linalg.kron_batch(F, np.where((sig == x)[:, None], C, 0), F._frob_raw(C, x))
+               for x in sorted(set(sigma)))
 
-    With the twist on and r > 1 the group is G = GL(s, F) x| <phi>.  For
-    s >= 2 the shift Z, the second generator, acts as "phi, then Z", and
-    the generators with Z phi in place of Z still generate G.  Proof:
-    x = I + E_12 and Z have entries in F_p, so phi fixes them;
-    conjugation by Z phi maps the set of all x_ij(a), a in F, onto the
+
+def _group_actions(F, sigma, use_frobenius=False):
+    """The generators of the sigma-stabilizer and the actions a BFS
+    applies to every object, as (gens, actions).  The stabilizer is the
+    product of GL(s_x, F) over the U coordinates of each exponent x of
+    sigma ((0,) * s, one block, for the classifier), generated by the
+    ``gl.gl_generators`` of each block embedded in the identity.  Action
+    i is a (P, twist) pair: P is the ``_twist_maps`` map of gens[i] or
+    None, and twist says the entrywise Frobenius phi comes first.
+
+    With the twist on and r > 1 the group is G = prod_x GL(s_x, F) x|
+    <phi>.  The shift Z_1 of the first block of two or more coordinates
+    acts as "phi, then Z_1", and the generators with Z_1 phi in place of
+    Z_1 still generate G.  Proof for GL(s_1, F): x = I + E_12 and Z_1
+    have entries in F_p, so phi fixes them; conjugation by Z_1 phi keeps
+    block 1 in block 1, maps the set of all x_ij(a), a in F, onto the
     x_i'j'(a) with indices shifted cyclically, and a diagonal matrix to
     its Frobenius image with the entries shifted.  So the group H the
     actions generate holds a diagonal with a primitive element at
-    position 1: D at s = 2, and at s >= 3 a conjugate of D' by a power
-    of Z phi (H holds D', as ``gl.gl_generators`` shows).  As in that
-    proof, conjugating x by it gives every x_12(a), the conjugates by
-    Z phi give every x_(i,i+1)(a), these generate SL(s, F), and with the
-    diagonal GL(s, F).  So Z is in H, and so is phi = Z^-1 (Z phi).  At
-    s = 1 phi is one more action, (None, True)."""
-    gens = gl.gl_generators(F, s)
-    maps = linalg.kron_batch(F, gens, gens)
-    if not (use_frobenius and F.r > 1):
-        return [(P, False) for P in maps]
-    if s >= 2:
-        return [(P, i == 1) for i, P in enumerate(maps)]
-    return [(P, False) for P in maps] + [(None, True)]
+    position 1: D at s_1 = 2, and at s_1 >= 3 a conjugate of D' by a
+    power of Z_1 phi (H holds D', as ``gl.gl_generators`` shows).  As in
+    that proof, conjugating x by it gives every x_12(a), the conjugates
+    by Z_1 phi give every x_(i,i+1)(a), these generate SL(s_1, F), and
+    with the diagonal GL(s_1, F).  So Z_1 is in H, and so is
+    phi = Z_1^-1 (Z_1 phi); the other blocks keep their own generators.
+    When every block has one coordinate, phi is one more action,
+    (None, True), whose entry in gens is the identity.
+
+    On pairs (C, e), the map A -> twist_C(Frob_e(A)), a twisted action
+    with generator g gives (Frob(C) g, e + 1) and any other (C g, e),
+    as phi twist_C = twist_Frob(C) phi and twist_g twist_C = twist_(C g)."""
+    sig = np.asarray(sigma)
+    fold = use_frobenius and F.r > 1          # phi still to be placed
+    gens, twists = [], []
+    for x in sorted(set(sigma)):
+        block = np.flatnonzero(sig == x)
+        for i, g in enumerate(gl.gl_generators(F, len(block))):
+            G = linalg.identity(len(sig))
+            G[np.ix_(block, block)] = g
+            gens.append(G)
+            twists.append(fold and i == 1)    # generator 1 is the block's Z
+            fold = fold and i != 1
+    actions = list(zip(_twist_maps(F, np.array(gens), sigma), twists))
+    if fold:
+        gens.append(linalg.identity(len(sig)))
+        actions.append((None, True))
+    return np.array(gens), actions
 
 
 def _image(F, V, P, twist):
@@ -281,7 +316,7 @@ def classify_congruence(F, s: int, symmetric_only: bool = False,
         raise ValueError(f"s must be >= 1, got {s}")
     q, m = F.q, s * s
     N = q ** (s * (s + 1) // 2) if symmetric_only else q ** m
-    maps = [P for P, _ in _group_actions(F, s)]
+    maps = [P for P, _ in _group_actions(F, (0,) * s)[1]]
     _check_bfs_budget(N, len(maps), "congruence", resolve_budget(budget))
     _check_ground_bytes(N, "matrices", 8, len(maps), m)
 
@@ -394,7 +429,7 @@ def _dense_bfs_subspaces(F, s, t, use_frobenius, codes):
         return img if P is None else _canon_rows(F, img, t)
 
     actions = [lambda V, P=P, twist=twist: act(V, P, twist)
-               for P, twist in _group_actions(F, s, use_frobenius)]
+               for P, twist in _group_actions(F, (0,) * s, use_frobenius)[1]]
 
     def load(lo, hi):
         V = linalg.decode_codes(codes[lo:hi], q, t * m, np.min_scalar_type(q - 1))
@@ -424,7 +459,7 @@ def _packed_bfs_subspaces(F, s, t, use_frobenius, codes):
     shifts = m * np.arange(t - 1, -1, -1)
     every_row = linalg.decode_codes(np.arange(1 << m), 2, m, np.uint8)
     tables = [linalg.encode_rows(linalg.linmap_apply(F, every_row, P), 2)
-              for P, _ in _group_actions(F, s)]
+              for P, _ in _group_actions(F, (0,) * s)[1]]
 
     def load(lo, hi):
         return (codes[lo:hi, None] >> shifts) & low
@@ -459,7 +494,7 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
     q, n = F.q, t * m
     N = gaussian_binomial(m, t, q)
     budget = resolve_budget(budget)
-    n_actions = len(_group_actions(F, s, use_frobenius))
+    n_actions = len(_group_actions(F, (0,) * s, use_frobenius)[1])
     if strategy == "bfs":
         _check_bfs_budget(N, n_actions, "subspace", budget)
         engine = _bfs_subspaces
@@ -552,7 +587,7 @@ def orbit_of(F, obj, use_frobenius: bool = True, budget=None,
             raise ValueError(f"matrix is not square: {A.shape}")
         t, start = 1, A.reshape(1, s * s)
     seen, rep, _ = _orbit_bfs(
-        F, start, _group_actions(F, s, use_frobenius and subspace),
+        F, start, _group_actions(F, (0,) * s, use_frobenius and subspace)[1],
         (lambda V: _canon_rows(F, V, t)) if subspace else (lambda V: V),
         resolve_budget(budget))
     return OrbitResult(

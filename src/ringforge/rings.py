@@ -13,7 +13,8 @@ y = (a', u', w') is
 
 with the structural sum present only for k <= t.  Elements are tuples of
 1 + s + t + lambda field codes; batched operations take arrays with that
-trailing axis.
+trailing axis.  ``iso_test`` searches one orbit of the classifier's
+actions, ``classify._group_actions`` at sigma with the Frobenius.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gl, linalg
-from .classify import _canon_rows, _orbit_bfs, resolve_budget
+from . import linalg
+from .classify import _canon_rows, _group_actions, _orbit_bfs, _twist_maps, resolve_budget
 from .gf import GF
 
 __all__ = [
@@ -500,27 +501,19 @@ def _tail_alignment(theta_a, theta_d, t):
 
 
 def _psi_apply(ringA: Ring, witness: IsoWitness, X):
-    """The element map induced by a witness, on arrays (..., n)."""
+    """The element map induced by a witness, on arrays (..., n): the
+    Frobenius power, then one F-linear map, blockdiag(1, (C^-1)^T, B, the
+    tail permutation), lowered once."""
     F = ringA.field
-    s, t, lam = ringA.s, ringA.t, ringA.lam
-    E = linalg.inv_mat(F, witness.C)
-    X = np.asarray(X, dtype=np.int64)
-    out = np.zeros_like(X)
-    sx = F._frob_raw(X, witness.sigma)
-    out[..., 0] = sx[..., 0]
-    for nu in range(s):
-        acc = np.zeros_like(sx[..., 0])
-        for i in range(s):
-            acc = F._add_raw(acc, F._mul_raw(int(E[nu, i]), sx[..., 1 + i]))
-        out[..., 1 + nu] = acc
-    for rho in range(t):
-        acc = np.zeros_like(sx[..., 0])
-        for k in range(t):
-            acc = F._add_raw(acc, F._mul_raw(int(witness.B[k, rho]), sx[..., 1 + s + k]))
-        out[..., 1 + s + rho] = acc
-    for mu in range(lam):
-        out[..., 1 + s + t + witness.v_perm[mu]] = sx[..., 1 + s + t + mu]
-    return out
+    s, t, n = ringA.s, ringA.t, ringA.n
+    Psi = np.zeros((n, n), dtype=np.int64)
+    Psi[0, 0] = 1
+    Psi[1:1 + s, 1:1 + s] = linalg.inv_mat(F, witness.C).T
+    Psi[1 + s:1 + s + t, 1 + s:1 + s + t] = witness.B
+    tail = 1 + s + t
+    Psi[tail + np.arange(ringA.lam), tail + np.array(witness.v_perm, dtype=np.int64)] = 1
+    X = F._frob_raw(np.asarray(X, dtype=np.int64), witness.sigma)
+    return linalg.linmap_apply(F, X, linalg.lower(F, Psi))
 
 
 def verify_witness(specA: RingSpec, specD: RingSpec, witness: IsoWitness,
@@ -530,7 +523,8 @@ def verify_witness(specA: RingSpec, specD: RingSpec, witness: IsoWitness,
     The map is semilinear in every coordinate block, so additivity is
     structural; bijectivity needs C, B invertible and the tail aligned; and
     multiplicativity on all Z_p-basis pairs is complete by biadditivity.
-    Exhaustive mode checks every element pair instead.
+    Exhaustive mode checks every element pair instead: it maps the N
+    elements once and reads psi(xy) by a gather at the product's code.
     """
     ringA, ringD = Ring(specA), Ring(specD)
     F = ringA.field
@@ -544,18 +538,15 @@ def verify_witness(specA: RingSpec, specD: RingSpec, witness: IsoWitness,
     if exhaustive:
         if ringA.order > _TABLE_LIMIT:
             raise _over_table_limit("exhaustive witness check", ringA.order)
-        E = ringA.element_array()
-        pairs = [(E[rows], E) for rows in _row_blocks(len(E))]
+        right, blocks = ringA.element_array(), _row_blocks(ringA.order)
     else:
-        basis = _zp_basis(ringA)
-        pairs = [(basis, basis)]
-    for left, right in pairs:
-        X = np.repeat(left, len(right), axis=0)
-        Y = np.tile(right, (len(left), 1))
-        lhs = _psi_apply(ringA, witness, ringA.mul_batch(X, Y))
-        rhs = ringD.mul_batch(_psi_apply(ringA, witness, X),
-                              _psi_apply(ringA, witness, Y))
-        if not (lhs == rhs).all():
+        right, blocks = _zp_basis(ringA), [slice(None)]
+    psi_right = _psi_apply(ringA, witness, right)
+    for rows in blocks:
+        XY = ringA.mul_batch(right[rows, None], right[None])
+        lhs = (psi_right[linalg.encode_rows(XY, F.q)] if exhaustive
+               else _psi_apply(ringA, witness, XY))
+        if not (lhs == ringD.mul_batch(psi_right[rows, None], psi_right[None])).all():
             return False
     return True
 
@@ -576,9 +567,10 @@ def _span_invariant(F: GF, mats: np.ndarray, sigma) -> np.ndarray:
     is 0) over one M per projective point of each theta class, the span
     of the A_k of one theta_k, which an isomorphism maps onto the class of
     the same theta.  Such an M is nonzero only where
-    sigma_i + sigma_j = theta, so ``_twist_maps`` maps its block
+    sigma_i + sigma_j = theta, so ``classify._twist_maps`` maps its block
     (x, theta - x) to C_x^T M_(x, theta - x) Frob_x(C_(theta - x)), of the
-    same rank; a point that mixes classes can change rank."""
+    same rank, and the entrywise Frobenius keeps its support and rank; a
+    point that mixes classes can change rank."""
     t, s, _ = mats.shape
     q = F.q
     flat = mats.reshape(t, s * s)
@@ -601,35 +593,6 @@ def _span_invariant(F: GF, mats: np.ndarray, sigma) -> np.ndarray:
     return np.sort(np.concatenate(out))
 
 
-def _twist_maps(F: GF, C, sigma) -> np.ndarray:
-    """Lowered maps of a stack of base changes C (G, s, s) on structural
-    matrices: A -> sum_x C^T P_x A Frob_x(C), P_x keeping the rows i with
-    sigma_i = x, since row i of A_k meets u'_j through sigma_i.  The terms
-    kron(P_x C, Frob_x(C)) sit on disjoint rows, so their lowered sum is
-    exact.  Over the sigma-stabilizer {C : C_ij = 0 unless
-    sigma_i = sigma_j} this is a group action, as Frob_x is a ring
-    automorphism."""
-    C = np.asarray(C, dtype=np.int64)
-    sig = np.asarray(sigma)
-    return sum(linalg.kron_batch(F, np.where((sig == x)[:, None], C, 0), F._frob_raw(C, x))
-               for x in sorted(set(sigma)))
-
-
-def _stabilizer_generators(F: GF, sigma) -> np.ndarray:
-    """Generators of the sigma-stabilizer, the product of GL(s_x, q) over
-    the coordinates of each exponent x: ``gl.gl_generators`` of each
-    block, embedded in the identity (all of them for a uniform sigma)."""
-    sig = np.asarray(sigma)
-    gens = []
-    for x in sorted(set(sigma)):
-        block = np.flatnonzero(sig == x)
-        for g in gl.gl_generators(F, len(block)):
-            G = linalg.identity(len(sig))
-            G[np.ix_(block, block)] = g
-            gens.append(G)
-    return np.array(gens)
-
-
 def iso_test(specA: RingSpec, specD: RingSpec) -> IsoWitness | None:
     """Search for an isomorphism witness; None means there is none.
 
@@ -637,15 +600,16 @@ def iso_test(specA: RingSpec, specD: RingSpec) -> IsoWitness | None:
     (``_tail_alignment``) and the span invariants, which carry the theta
     of each A_k, must agree.  No isomorphism joins U coordinates that
     twist differently, so D's U coordinates are relabelled to A's sigma
-    order, k-th occurrence to k-th occurrence.  For each Frobenius power
-    e, ``classify._orbit_bfs`` grows the orbit of span(Frob_e(A_1..A_t))
-    under the sigma-stabilizer
-    until span(D_1..D_t) appears.  C is the product g_1 g_2 ... g_k of
-    the generators along its tree path, relabelling composed in, and B is
-    solved from the image of the A_k.  That image is nonzero only where
-    sigma_i + sigma_j = theta_k, so B keeps theta and the witness is an
-    isomorphism; one that ``verify_witness`` does not certify raises.  At
-    s = t = 1 the spans meet at once: sigma 0, C = [[1]], B = [[d/a]].
+    order, k-th occurrence to k-th occurrence.  ``classify._orbit_bfs``
+    grows the orbit of span(A_1..A_t) under ``classify._group_actions``
+    at A's sigma, the sigma-stabilizer with the Frobenius folded in, until
+    span(D_1..D_t) appears, so the orbit is closed once for all Frobenius
+    powers.  The witness (e, C) is read off the tree path from (0, I) by
+    the rule of ``_group_actions``, the relabelling is composed in, and B is
+    solved from the image of the Frob_e(A_k).  That image is nonzero only
+    where sigma_i + sigma_j = theta_k, so B keeps theta and the witness is
+    an isomorphism; one that ``verify_witness`` does not certify raises.
+    At s = t = 1 the spans meet at once: sigma 0, C = [[1]], B = [[d/a]].
     """
     ringA, ringD = Ring(specA), Ring(specD)
     _check_same_invariants(specA, specD)
@@ -660,31 +624,30 @@ def iso_test(specA: RingSpec, specD: RingSpec) -> IsoWitness | None:
         return None
 
     m = s * s
+    A_rows = ringA.matrices.reshape(t, m)
     D_rows = ringD.matrices[:, pi][:, :, pi].reshape(t, m)
     target_R, _ = linalg.rref(F, D_rows)
     target = int(linalg.encode_rows(target_R.reshape(-1), F.q))
-    gens = _stabilizer_generators(F, ringA.sigma)
-    acts = [(P, False) for P in _twist_maps(F, gens, ringA.sigma)]
-    for e in F.automorphism_exponents():
-        A_rows = F._frob_raw(ringA.matrices, e).reshape(t, m)
-        _, _, path = _orbit_bfs(F, A_rows, acts, lambda V: _canon_rows(F, V, t),
-                                resolve_budget(), target)
-        if path is None:
-            continue
-        C = linalg.identity(s)
-        for a in path:
-            C = linalg.mat_mul(F, C, gens[a])
-        X = linalg.linmap_apply(F, A_rows, _twist_maps(F, C[None], ringA.sigma)[0])
-        cols = [linalg.solve(F, X.T, D_rows[rho]) for rho in range(t)]
-        C_D = np.empty_like(C)
-        C_D[:, pi] = C
-        witness = (None if any(c is None for c in cols)
-                   else IsoWitness(e, C_D, np.stack(cols, axis=1), perm))
-        if witness is None or not verify_witness(specA, specD, witness):
-            raise RuntimeError(f"the transporter at Frobenius power {e} "
-                               f"gives no certified witness")
-        return witness
-    return None
+    gens, acts = _group_actions(F, ringA.sigma, use_frobenius=True)
+    _, _, path = _orbit_bfs(F, A_rows, acts, lambda V: _canon_rows(F, V, t),
+                            resolve_budget(), target)
+    if path is None:
+        return None
+    e, C = 0, linalg.identity(s)
+    for a in path:
+        if acts[a][1]:
+            e, C = (e + 1) % F.r, F._frob_raw(C, 1)
+        C = linalg.mat_mul(F, C, gens[a])
+    X = linalg.linmap_apply(F, F._frob_raw(A_rows, e),
+                            _twist_maps(F, C[None], ringA.sigma)[0])
+    cols = [linalg.solve(F, X.T, D_rows[rho]) for rho in range(t)]
+    C_D = np.empty_like(C)
+    C_D[:, pi] = C
+    witness = (None if any(c is None for c in cols)
+               else IsoWitness(e, C_D, np.stack(cols, axis=1), perm))
+    if witness is None or not verify_witness(specA, specD, witness):
+        raise RuntimeError("the orbit transporter gives no certified witness")
+    return witness
 
 
 def equivalent_spec(spec: RingSpec, C, sigma_e: int = 0, B=None,
@@ -692,7 +655,7 @@ def equivalent_spec(spec: RingSpec, C, sigma_e: int = 0, B=None,
     """The presentation reached by base change C, global Frobenius power
     sigma_e, and structural recombination B; the tail can be permuted.
 
-    C acts on each Frob_(sigma_e)(A_k) by ``_twist_maps``, the action
+    C acts on each Frob_(sigma_e)(A_k) by ``classify._twist_maps``, the action
     that ``verify_witness`` certifies as (sigma_e, C, B, tail_perm).
     C[i, j] != 0 with sigma_i != sigma_j is refused: no isomorphism joins
     U coordinates that twist differently.  A B that combines A_k of

@@ -424,15 +424,16 @@ def tail_alignment_greedy(theta_a, theta_d, t):
 
 def iso_exhaustive(specA, specD):
     """``iso_test`` by the whole-group search: the lowered sigma-twisted
-    map of every element C of GL(s, q) at once (``rings._twist_maps``;
+    map of every element C of GL(s, q) at once (``classify._twist_maps``;
     kron(C, C) when sigma is 0), every image eliminated, then the
     candidates in ascending order of C within each Frobenius power.  A C
     that joins U coordinates of different sigma is imaged too, so no
     relabelling is needed; ``verify_witness`` decides.  No invariant
     prefilter, no orbit search."""
     from ringforge import gl, linalg
+    from ringforge.classify import _twist_maps
     from ringforge.rings import (IsoWitness, Ring, _check_same_invariants,
-                                 _tail_alignment, _twist_maps, verify_witness)
+                                 _tail_alignment, verify_witness)
 
     ringA, ringD = Ring(specA), Ring(specD)
     _check_same_invariants(specA, specD)

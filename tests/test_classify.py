@@ -282,26 +282,68 @@ def test_sweep_and_bfs_agree_with_frobenius(p, r, s, t):
     (2, 2, 1, True, [False, None]),                  # no shift at s = 1
     (2, 2, 3, False, [False, False]),
     (5, 1, 3, True, [False, False]),                 # r = 1: nothing to twist
+    # s given as sigma: the fold lands on the Z of the second block
+    (2, 2, (0, 1, 1), True, [False, False, True, False]),
 ])
 def test_group_actions_fold_the_frobenius_into_the_shift(p, r, s, use_frobenius, shape):
     # shape: per action, whether the Frobenius comes first, None for the
     # Frobenius alone
     F = GF(p, r)
-    acts = classify_module._group_actions(F, s, use_frobenius)
+    sigma = (0,) * s if isinstance(s, int) else s
+    n = len(sigma)
+    gens, acts = classify_module._group_actions(F, sigma, use_frobenius)
     assert [None if P is None else twist for P, twist in acts] == shape
-    gens = gl_module.gl_generators(F, s)
-    maps = la.kron_batch(F, gens, gens)
-    assert all(np.array_equal(P, L) for (P, _), L in zip(acts, maps))
-    # a folded action is the shift Z of the Frobenius image
-    rng = np.random.default_rng(p + r + s)
-    A = rng.integers(0, F.q, size=(5, 1, s * s))
-    Z = np.roll(la.identity(s), 1, axis=1)
-    for P, twist in acts:
-        if twist and P is not None:
-            img = classify_module._image(F, A, P, twist)
-            want = [la.mat_mul(F, la.mat_mul(F, Z.T, F.frobenius(M.reshape(s, s))), Z)
-                    for M in A]
-            assert np.array_equal(img.reshape(5, s, s), np.array(want))
+    assert len(gens) == len(acts)
+    if not any(sigma):
+        maps = la.kron_batch(F, gens, gens)
+        assert all(P is None or np.array_equal(P, L) for (P, _), L in zip(acts, maps))
+    # action i is A -> sum_x g_i^T P_x phi(A) Frob_x(g_i), phi only when
+    # twisted, P_x keeping the rows i with sigma_i = x
+    rng = np.random.default_rng(p + r + n)
+    A = rng.integers(0, F.q, size=(5, 1, n * n))
+    rows_of = {x: (np.asarray(sigma) == x)[:, None] for x in set(sigma)}
+    for g, (P, twist) in zip(gens, acts):
+        img = classify_module._image(F, A, P, twist)
+        want = []
+        for M in A.reshape(5, n, n):
+            M = F.frobenius(M) if twist else M
+            acc = np.zeros((n, n), dtype=np.int64)
+            for x, rows in rows_of.items():
+                term = la.mat_mul(F, g.T, np.where(rows, M, 0))
+                acc = F._add_raw(acc, la.mat_mul(F, term, F._frob_raw(g, x)))
+            want.append(acc)
+        assert np.array_equal(img.reshape(5, n, n), np.array(want))
+
+
+@pytest.mark.parametrize("p,r,sigma", [
+    (2, 2, (0, 1, 0)), (2, 2, (0, 1)), (2, 2, (1, 1)), (2, 2, (0, 0, 0)),
+    (3, 2, (1, 0, 1)), (3, 2, (0,)), (2, 3, (0, 0, 2)), (2, 3, (0, 1, 2)),
+])
+def test_group_actions_generate_the_stabilizer_and_the_frobenius(p, r, sigma):
+    """Closing (I, 0) under the actions, a twisted one taking (C, e) to
+    (Frob(C) g, e + 1) and any other to (C g, e), reaches every element
+    of prod_x GL(s_x, q) x| <phi>: r times the product of the |GL(s_x, q)|."""
+    F = GF(p, r)
+    n = len(sigma)
+    gens, acts = classify_module._group_actions(F, sigma, use_frobenius=True)
+
+    def keys(C, e):
+        return la.encode_rows(C.reshape(len(C), n * n), F.q) * r + e
+
+    C, e = la.identity(n)[None], np.zeros(1, dtype=np.int64)
+    seen = keys(C, e)
+    while len(C):
+        C = np.concatenate([la.mat_mul(F, F._frob_raw(C, 1) if twist else C, g)
+                            for g, (_, twist) in zip(gens, acts)])
+        e = np.concatenate([(e + twist) % r for _, twist in acts])
+        k, first = np.unique(keys(C, e), return_index=True)
+        fresh = ~np.isin(k, seen)
+        seen = np.concatenate([seen, k[fresh]])
+        C, e = C[first[fresh]], e[first[fresh]]
+    want = r
+    for x in set(sigma):
+        want *= gl_order(F.q, sigma.count(x))
+    assert len(seen) == want
 
 
 def test_auto_strategy_matches_explicit():

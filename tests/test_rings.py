@@ -821,6 +821,33 @@ def test_span_invariant_rejects_before_any_search(monkeypatch):
                     prime_spec(7, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])) is None
 
 
+def test_iso_closes_one_orbit_for_every_frobenius_power(monkeypatch):
+    """A non-isomorphic GF(4) s = 3 pair with 0/1 entries passes the span
+    invariant.  Frob(A) = A, so one search per Frobenius power closed the
+    same orbit twice; with the Frobenius folded into the actions it is
+    closed once."""
+    calls = []
+    search = rings._orbit_bfs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(rings, "_orbit_bfs", counted)
+    a = gf4_spec([[1, 1, 1], [1, 0, 0], [1, 1, 1]], sigma=(0, 0, 0), theta=(0,))
+    d = gf4_spec([[0, 0, 1], [0, 0, 1], [0, 1, 0]], sigma=(0, 0, 0), theta=(0,))
+    assert iso_test(a, d) is None
+    assert len(calls) == 1
+
+
+def test_iso_raises_on_an_uncertified_witness(monkeypatch):
+    monkeypatch.setattr(rings, "verify_witness", lambda *args, **kwargs: False)
+    a = prime_spec(3, [[[1, 0], [0, 2]]])
+    d = equivalent_spec(a, [[1, 1], [0, 1]])
+    with pytest.raises(RuntimeError, match="no certified witness"):
+        iso_test(a, d)
+
+
 def test_iso_admits_pairs_the_invariant_cannot_separate(monkeypatch):
     """The orbit search enumerates no group, so ENUM_LIMIT does not bound
     it: GF(7), s = 3 is admitted, though GL(3, 7) has 33.8M elements."""

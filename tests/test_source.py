@@ -50,11 +50,19 @@ def test_invariants_raise_under_O():
         import numpy as np
         from ringforge import GF, classify, matspace, rings
         print(sys.flags.optimize)
+
+        def uncertified_witness():
+            rings.verify_witness = lambda *args, **kwargs: False
+            a = rings.RingSpec(GF(3), 1, 1, 0, np.ones((1, 1, 1), dtype=np.int64),
+                               (0,), (0,))
+            rings.iso_test(a, a)
+
         calls = [
             lambda: classify._canon_rows(GF(3), np.zeros((1, 2, 4), dtype=np.int64), 2),
             lambda: classify._ground_index(np.array([1, 3, 5]), np.array([3, 4])),
             lambda: matspace._check_rep_count([0, 1], 3),
             lambda: rings._f_dim(GF(2, 2), np.eye(3, dtype=np.int64), "M^2"),
+            uncertified_witness,
         ]
         for call in calls:
             try:
@@ -73,4 +81,5 @@ def test_invariants_raise_under_O():
         "RuntimeError: orbit image left the ground set",
         "RuntimeError: built 2 representatives, expected 3",
         "RuntimeError: Z_2-rank 3 of M^2 is not a multiple of r=2",
+        "RuntimeError: the orbit transporter gives no certified witness",
     ]
