@@ -14,21 +14,21 @@ remains as the explicit ``strategy="sweep"``.  Everything is
 deterministic: objects are held in ascending key order and every orbit
 is named by its minimum key.
 
+Every engine holds objects as keys; a block is decoded only to be
+imaged, and ``_keys`` brings its images under one action back to keys.
+The ground set of spaces is its sorted keys (``matspace.subspace_rows``),
+where ``_bfs_orbits`` locates the images; over all s x s matrices a key
+is its own ground index, so congruence holds no ground array.  Over
+GF(2) while a key fits int64 (t*s*s <= 62 bits) a basis is t row words
+read off its key instead, a generator acts through a table of the
+images of all 2^(s*s) words, and images are reduced by XOR
+(``linalg._rref_words``); such a table is never larger than the ground
+set's N + 1 codes, or 16 entries, so it needs no limit of its own.
 One orbit alone is closed by ``_orbit_bfs``, which records the action
 and parent of each new key.  ``_group_actions`` is the one action
 builder: the engines and ``orbit_of`` take it at sigma = 0, and
 ``rings.iso_test`` at the U twist vector of its first ring, Frobenius
 folded in, reading a transporter (C, e) off the tree path.
-
-The ground set of spaces is held as its sorted keys only
-(``matspace.subspace_rows``).  The BFS decodes one block of them at a
-time into digit rows, except over GF(2) while a key fits int64
-(t*s*s <= 62 bits): there a basis is t row words read off its key, a
-generator acts through a table of the images of all 2^(s*s) words, and
-images are reduced by XOR (``linalg._rref_words``).  Such a table is
-never larger than the ground set's N + 1 codes, or 16 entries, so it
-needs no limit of its own.  Both forms give the same keys and share
-``_bfs_orbits``, ``_orbit_roots`` and ``_ground_index``.
 
 No engine scans objects for dead indices, because the compatibility
 flag of a class follows from its representative.  Index i is dead in a
@@ -209,12 +209,13 @@ def _orbit_roots(dst):
     return parent
 
 
-def _bfs_orbits(N, load, actions, locate):
+def _bfs_orbits(N, load, actions, ground):
     """Orbits of the N ground objects as connected components of the graph
     joining each object to the ground index of its image under each
-    action, computed in blocks of ``_BFS_CHUNK`` objects, so no image
-    stack of the whole ground set is held.  ``load(lo, hi)`` returns the
-    block of objects lo..hi-1 in whatever form the actions take.
+    action, in blocks of ``_BFS_CHUNK`` objects, so no image stack of the
+    whole ground set is held.  ``load(lo, hi)`` returns objects lo..hi-1
+    in the form the actions take; an action returns their images' keys,
+    located in the sorted codes ``ground``, or indices if it is None.
     Returns an iterator of (first index, size), ascending by first index,
     so every orbit is named by its minimum."""
     dst = np.empty((N, len(actions)), dtype=np.int32)
@@ -222,7 +223,7 @@ def _bfs_orbits(N, load, actions, locate):
         hi = min(lo + _BFS_CHUNK, N)
         V = load(lo, hi)
         for a, act in enumerate(actions):
-            dst[lo:hi, a] = locate(act(V))
+            dst[lo:hi, a] = act(V) if ground is None else _ground_index(ground, act(V))
     parent = _orbit_roots(dst)
     firsts = np.flatnonzero(parent == np.arange(N))
     sizes = np.bincount(parent, minlength=N)[firsts]
@@ -299,6 +300,16 @@ def _image(F, V, P, twist):
     return V if P is None else linalg.linmap_apply(F, V, P)
 
 
+def _keys(F, V, P, twist, spaces):
+    """Keys of the images of a block V (B, t, m) under one action: its
+    ``_image``, brought back to RREF by ``_canon_rows`` when the objects
+    are spaces and P moves them (the Frobenius alone keeps RREF)."""
+    img = _image(F, V, P, twist)
+    if spaces and P is not None:
+        img = _canon_rows(F, img, V.shape[1])
+    return linalg.encode_rows(img.reshape(len(img), -1), F.q)
+
+
 def _check_bfs_budget(N, n_actions, what, budget) -> None:
     actions = N * n_actions
     if actions > budget:
@@ -316,29 +327,25 @@ def classify_congruence(F, s: int, symmetric_only: bool = False,
         raise ValueError(f"s must be >= 1, got {s}")
     q, m = F.q, s * s
     N = q ** (s * (s + 1) // 2) if symmetric_only else q ** m
-    maps = [P for P, _ in _group_actions(F, (0,) * s)[1]]
-    _check_bfs_budget(N, len(maps), "congruence", resolve_budget(budget))
-    _check_ground_bytes(N, "matrices", 8, len(maps), m)
+    acts = _group_actions(F, (0,) * s)[1]
+    _check_bfs_budget(N, len(acts), "congruence", resolve_budget(budget))
+    _check_ground_bytes(N, "matrices", 8 if symmetric_only else 0, len(acts), m)
 
+    ground = None                     # over all matrices a key is its index
     if symmetric_only:
         upper = [i * s + j for i in range(s) for j in range(i, s)]
         mirror = [j * s + i for i in range(s) for j in range(i, s)]
         mats = np.zeros((N, m), dtype=np.int64)
         mats[:, upper] = mats[:, mirror] = linalg.decode_codes(np.arange(N), q, len(upper))
         ground = np.sort(linalg.encode_rows(mats, q))
-    else:
-        ground = np.arange(N)
 
     def load(lo, hi):
-        return linalg.decode_codes(ground[lo:hi], q, m)
+        keys = np.arange(lo, hi) if ground is None else ground[lo:hi]
+        return linalg.decode_codes(keys, q, m).reshape(-1, 1, m)
 
-    def locate(imgs):
-        keys = linalg.encode_rows(imgs, q)
-        return _ground_index(ground, keys) if symmetric_only else keys
-
-    actions = [lambda V, P=P: linalg.linmap_apply(F, V, P) for P in maps]
+    actions = [lambda V, P=P: _keys(F, V, P, False, False) for P, _ in acts]
     classes = []
-    for idx, size in _bfs_orbits(N, load, actions, locate):
+    for idx, size in _bfs_orbits(N, load, actions, ground):
         rep = load(idx, idx + 1).reshape(s, s)
         # only the zero matrix has no compatible member (module docstring)
         classes.append(OrbitClass(rep, int(size), bool(rep.any()),
@@ -423,22 +430,13 @@ def _bfs_subspaces(F, s, t, use_frobenius, codes):
 def _dense_bfs_subspaces(F, s, t, use_frobenius, codes):
     q, m = F.q, s * s
 
-    def act(V, P, twist):
-        img = _image(F, V, P, twist)
-        # RREF structure survives the entrywise Frobenius, so no re-reduction
-        return img if P is None else _canon_rows(F, img, t)
-
-    actions = [lambda V, P=P, twist=twist: act(V, P, twist)
-               for P, twist in _group_actions(F, (0,) * s, use_frobenius)[1]]
-
     def load(lo, hi):
         V = linalg.decode_codes(codes[lo:hi], q, t * m, np.min_scalar_type(q - 1))
         return V.reshape(-1, t, m)
 
-    def locate(R):
-        return _ground_index(codes, linalg.encode_rows(R.reshape(len(R), t * m), q))
-
-    return _bfs_orbits(len(codes), load, actions, locate)
+    actions = [lambda V, P=P, twist=twist: _keys(F, V, P, twist, True)
+               for P, twist in _group_actions(F, (0,) * s, use_frobenius)[1]]
+    return _bfs_orbits(len(codes), load, actions, codes)
 
 
 def _packed_bfs_subspaces(F, s, t, use_frobenius, codes):
@@ -469,11 +467,8 @@ def _packed_bfs_subspaces(F, s, t, use_frobenius, codes):
         _check_rank(ranks, t)
         return np.bitwise_or.reduce(R << shifts, axis=1)
 
-    def locate(keys):
-        return _ground_index(codes, keys)
-
     actions = [lambda W, T=T: image(W, T) for T in tables]
-    return _bfs_orbits(len(codes), load, actions, locate)
+    return _bfs_orbits(len(codes), load, actions, codes)
 
 
 def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
@@ -532,44 +527,49 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
 
 # -- single-orbit closure --
 
-def _orbit_bfs(F, start, acts, canon, budget, target=None):
-    """Breadth-first closure of the orbit of one object, a (t, m) block,
-    under ``acts``, (P, twist) pairs applied by ``_image``; ``canon``
-    brings a stack of images (B, t, m) to canonical form.  Each level keeps
-    the first image of every new key and its index i among the level's
-    images: i // len(frontier) is the action and i % len(frontier) the
-    parent.  Returns the sorted keys found, the block of the least, and the
-    actions along the tree path from ``start`` to the ``target`` key, read
-    back at the level where it appears; None when no key is the target."""
-    frontier = canon(start[None])
-    n = frontier[0].size
-    keys = seen = linalg.encode_rows(frontier.reshape(1, n), F.q)
-    rep = frontier[0]                           # the block of seen[0]
+def _orbit_bfs(F, start, acts, spaces, budget, target=None):
+    """Breadth-first closure of the orbit of one (t, m) block under
+    ``acts``, the (P, twist) pairs of ``_group_actions``, of spaces kept in
+    RREF if ``spaces``.  Each level's frontier keys are decoded
+    ``_BFS_CHUNK`` at a time and imaged by ``_keys`` into one action-major
+    key array: image i has action i // len(frontier) and parent
+    i % len(frontier), and the first image of each new key is kept.  The
+    budget is checked before a level is imaged.  Returns the sorted keys,
+    the block of the least, and the actions of the tree path from
+    ``start`` to the ``target`` key, None if no key is the target."""
+    t, m = start.shape
+
+    def decode(keys):
+        return linalg.decode_codes(keys, F.q, t * m).reshape(-1, t, m)
+
+    start = _canon_rows(F, start[None], t) if spaces else start[None]
+    frontier = seen = linalg.encode_rows(start.reshape(1, t * m), F.q)
     sources = []                                # per level: (indices, frontier size)
-    n_actions = 0
+    n_actions, path = 0, None
     while len(frontier):
-        hit = np.flatnonzero(keys == target)
+        hit = np.flatnonzero(frontier == target)
         if len(hit):
             j, path = hit[0], []
             for src, width in reversed(sources):
                 action, j = divmod(int(src[j]), width)
                 path.insert(0, action)
-            return seen, rep, path
-        imgs = canon(np.concatenate([_image(F, frontier, P, twist) for P, twist in acts]))
-        keys = linalg.encode_rows(imgs.reshape(len(imgs), n), F.q)
-        n_actions += len(keys)
+            break
+        width = len(frontier)
+        n_actions += width * len(acts)
         if n_actions > budget:
             raise _over_budget(f"orbit closure reached {n_actions} actions", budget)
-        keys, first = np.unique(keys, return_index=True)
+        keys = np.empty((len(acts), width), dtype=seen.dtype)
+        for lo in range(0, width, _BFS_CHUNK):
+            V = decode(frontier[lo:lo + _BFS_CHUNK])
+            for a, (P, twist) in enumerate(acts):
+                keys[a, lo:lo + len(V)] = _keys(F, V, P, twist, spaces)
+        keys, first = np.unique(keys.ravel(), return_index=True)
         pos = np.searchsorted(seen, keys)
         fresh = seen[np.minimum(pos, len(seen) - 1)] != keys
-        if fresh.any() and pos[fresh][0] == 0:
-            # the least fresh key goes before every key seen: a new minimum
-            rep = imgs[first[fresh][0]]
         seen = np.insert(seen, pos[fresh], keys[fresh])
-        sources.append((first[fresh], len(frontier)))
-        frontier, keys = imgs[first[fresh]], keys[fresh]
-    return seen, rep, None
+        sources.append((first[fresh], width))
+        frontier = keys[fresh]
+    return seen, decode(seen[:1])[0], path
 
 
 def orbit_of(F, obj, use_frobenius: bool = True, budget=None,
@@ -588,8 +588,7 @@ def orbit_of(F, obj, use_frobenius: bool = True, budget=None,
         t, start = 1, A.reshape(1, s * s)
     seen, rep, _ = _orbit_bfs(
         F, start, _group_actions(F, (0,) * s, use_frobenius and subspace)[1],
-        (lambda V: _canon_rows(F, V, t)) if subspace else (lambda V: V),
-        resolve_budget(budget))
+        subspace, resolve_budget(budget))
     return OrbitResult(
         kind="subspace" if subspace else "congruence",
         canonical_rep=SubspaceKey.from_rref(s, t, rep) if subspace else rep.reshape(s, s),

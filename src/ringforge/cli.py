@@ -60,7 +60,6 @@ def _cmd_classify(args) -> int:
     report = classify_subspaces(
         F, args.s, args.t,
         use_frobenius=not args.no_frobenius,
-        strategy=args.strategy,
         budget=args.budget,
     )
     _emit(args, report.to_dict(), report.to_csv_rows())
@@ -317,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="space dimension")
     p.add_argument("--no-frobenius", action="store_true",
                    help="congruence twists only, no field automorphisms")
-    p.add_argument("--strategy", choices=("auto", "sweep", "bfs"), default="auto")
     p.add_argument("--budget", type=int, default=None,
                    help="action budget (default RINGFORGE_BUDGET or 10^12)")
     add_format(p)

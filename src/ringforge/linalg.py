@@ -227,9 +227,9 @@ def _digit_codes(F, Y):
 
 def linmap_apply(F, V, L) -> np.ndarray:
     """V @ P over F with P lowered (L = lower(F, P)), as int64 codes:
-    (..., m) x (m*r, m2*r) -> (..., m2) for one map, and for a stack of
-    maps (G, m*r, m2*r) either one V (m,) or (n, m) against every map ->
-    (G, m2) or (G, n, m2), or one V per map (G, n, m) -> (G, n, m2).
+    (..., m) x (m*r, m2*r) -> (..., m2) for one map, and one V (m,) or
+    (n, m) against every map of a stack (G, m*r, m2*r) -> (G, m2) or
+    (G, n, m2).
 
     Each product is a float matmul (BLAS) on the digits of V, in L's
     dtype: ``_lowered_dtype`` makes every dot product exact.  Its integer
@@ -258,17 +258,13 @@ def linmap_apply(F, V, L) -> np.ndarray:
             X = _digit_rows(digits, rows[lo:lo + _APPLY_BLOCK])
             out[lo:lo + len(X)] = _digit_codes(F, X @ L)
         return out.reshape(V.shape[:-1] + (m2,))
-    G = len(L)
-    stacked = V.ndim > 2
-    if L.ndim != 3 or (stacked and V.shape[:-2] != (G,)):
+    if L.ndim != 3 or V.ndim > 2:
         raise ValueError(f"cannot apply a map stack {L.shape} to vectors {V.shape}")
-    shape = V.shape[1:-1] if stacked else V.shape[:-1]
-    out = np.empty((G,) + shape + (m2,), dtype=np.int64)
-    step = max(1, _APPLY_BLOCK // max(1, int(np.prod(shape))))
-    X = None if stacked else _digit_rows(digits, V)
-    for lo in range(0, G, step):
-        Xb = _digit_rows(digits, V[lo:lo + step]) if stacked else X
-        out[lo:lo + step] = _digit_codes(F, np.matmul(Xb, L[lo:lo + step]))
+    out = np.empty((len(L),) + V.shape[:-1] + (m2,), dtype=np.int64)
+    step = max(1, _APPLY_BLOCK // max(1, int(np.prod(V.shape[:-1]))))
+    X = _digit_rows(digits, V)
+    for lo in range(0, len(L), step):
+        out[lo:lo + step] = _digit_codes(F, np.matmul(X, L[lo:lo + step]))
     return out
 
 
@@ -378,11 +374,15 @@ def encode_rows(rows, q: int):
 
 def decode_codes(codes, q: int, m: int, dtype=np.int64) -> np.ndarray:
     """Inverse of encode_rows for int64 and python-int keys, written in
-    ``dtype``, which must hold q - 1 (``np.min_scalar_type(q - 1)`` is the narrowest)."""
-    codes = np.asarray(codes)
-    out = np.empty(codes.shape + (m,), dtype=dtype)
-    rem = codes.astype(object if codes.dtype == object else np.int64)
-    for j in range(m - 1, -1, -1):
-        out[..., j] = rem % q
-        rem //= q
+    ``dtype``, which must hold q - 1 (``np.min_scalar_type(q - 1)`` is the narrowest).
+    Keys are cut into int64 words first: two object operations a word."""
+    rem = np.asarray(codes)
+    out = np.empty(rem.shape + (m,), dtype=dtype)
+    w = int(62 // np.log2(q))           # digits per int64 word
+    for hi in range(m, 0, -w):
+        word = np.asarray(rem % q ** min(w, hi), dtype=np.int64)
+        rem = rem // q ** min(w, hi)
+        for j in range(hi - 1, max(hi - w, 0) - 1, -1):
+            out[..., j] = word % q
+            word //= q
     return out

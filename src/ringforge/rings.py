@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .classify import _canon_rows, _group_actions, _orbit_bfs, _twist_maps, resolve_budget
+from .classify import _group_actions, _orbit_bfs, _twist_maps, resolve_budget
 from .gf import GF
 
 __all__ = [
@@ -629,8 +629,7 @@ def iso_test(specA: RingSpec, specD: RingSpec) -> IsoWitness | None:
     target_R, _ = linalg.rref(F, D_rows)
     target = int(linalg.encode_rows(target_R.reshape(-1), F.q))
     gens, acts = _group_actions(F, ringA.sigma, use_frobenius=True)
-    _, _, path = _orbit_bfs(F, A_rows, acts, lambda V: _canon_rows(F, V, t),
-                            resolve_budget(), target)
+    _, _, path = _orbit_bfs(F, A_rows, acts, True, resolve_budget(), target)
     if path is None:
         return None
     e, C = 0, linalg.identity(s)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ringforge import linalg as la
 from ringforge.classify import DEFAULT_BUDGET, _bfs_orbits, _canon_rows, _orbit_roots
 from ringforge.gl import enumerate_gl, gl_order
 from ringforge.matspace import dead_indices
+from ringforge.rings import RingSpec, equivalent_spec, iso_test
 
 from oracles import (congruence_sweep, raw_congruence_orbit,
                      raw_congruence_partition, raw_line_class_count,
@@ -374,18 +376,42 @@ def test_auto_runs_bfs_and_checks_budget_first(classified, monkeypatch):
         classify_subspaces(GF(2), 3, 3, budget=1)
 
 
-# blocks of 7 objects put block edges inside orbits and leave a ragged last block
+def _orbit_record(res):
+    rep = res.canonical_rep
+    rep = rep.rows if res.kind == "subspace" else rep.tolist()
+    return res.kind, rep, res.orbit_size, res.members
+
+
+def _iso_record(a, d):
+    w = iso_test(a, d)
+    return w.sigma, w.C.tolist(), w.B.tolist(), w.v_perm
+
+
+# an r > 1 pair whose witness needs the Frobenius
+ISO_GF8 = RingSpec(GF(2, 3), 2, 2, 0, np.array([[[6, 2], [0, 2]], [[3, 6], [3, 0]]]),
+                   (1, 1), (2, 2))
+
+
+# blocks of 7 objects put block edges inside orbits and leave a ragged
+# last block; the orbit closures' frontiers reach 135 to 1425 keys
 @pytest.mark.parametrize("call", [
-    lambda: classify_subspaces(GF(3), 2, 2),
-    lambda: classify_subspaces(GF(2), 3, 2),
-    lambda: classify_subspaces(GF(2, 2), 2, 1),
-    lambda: classify_congruence(GF(3), 2),
-    lambda: classify_congruence(GF(2, 2), 2, symmetric_only=True),
+    lambda: classify_subspaces(GF(3), 2, 2).to_dict(),
+    lambda: classify_subspaces(GF(2), 3, 2).to_dict(),
+    lambda: classify_subspaces(GF(2, 2), 2, 1).to_dict(),
+    lambda: classify_congruence(GF(3), 2).to_dict(),
+    lambda: classify_congruence(GF(2, 2), 2, symmetric_only=True).to_dict(),
+    lambda: _orbit_record(orbit_of(
+        GF(2, 2), subspace_key(GF(2, 2), [[[1, 2, 0], [0, 1, 3], [3, 0, 1]]]),
+        include_members=True)),
+    lambda: _orbit_record(orbit_of(GF(3), [[1, 2, 0], [0, 1, 1], [2, 0, 1]],
+                                   include_members=True)),
+    lambda: _iso_record(ISO_GF8, equivalent_spec(ISO_GF8, [[2, 4], [6, 5]], sigma_e=2,
+                                                 B=[[1, 7], [0, 4]])),
 ])
 def test_bfs_block_size_does_not_change_reports(call, monkeypatch):
-    whole = call().to_dict()
+    whole = call()
     monkeypatch.setattr(classify_module, "_BFS_CHUNK", 7)
-    assert call().to_dict() == whole
+    assert call() == whole
 
 
 # -- the packed GF(2) engine against the dense one --
@@ -468,8 +494,7 @@ def test_bfs_orbits_match_component_oracle(name, monkeypatch):
     monkeypatch.setattr(classify_module, "_BFS_CHUNK", 64)
     firsts, sizes = np.unique(table_components(dst), return_counts=True)
     actions = [lambda V, a=a: dst[V, a] for a in range(dst.shape[1])]
-    got = _bfs_orbits(len(dst), lambda lo, hi: np.arange(lo, hi), actions,
-                      lambda keys: keys)
+    got = _bfs_orbits(len(dst), lambda lo, hi: np.arange(lo, hi), actions, None)
     assert [(int(i), int(n)) for i, n in got] == list(zip(firsts.tolist(), sizes.tolist()))
 
 
@@ -535,6 +560,37 @@ def test_budget_errors_name_the_knobs():
     with pytest.raises(BudgetExceededError,
                        match="orbit closure reached .* budget of 2 " + BUDGET_KNOBS):
         orbit_of(GF(3), np.eye(2, dtype=np.int64), budget=2)
+
+
+def test_orbit_budget_is_checked_before_a_level_is_imaged(monkeypatch):
+    # the first level images the start once per action, exactly the
+    # budget; the second is refused before any of its images is computed
+    F = GF(3)
+    n_actions = len(classify_module._group_actions(F, (0, 0))[1])
+    calls = []
+    image = classify_module._image
+    monkeypatch.setattr(classify_module, "_image",
+                        lambda *args: calls.append(args) or image(*args))
+    with pytest.raises(BudgetExceededError, match="orbit closure reached"):
+        orbit_of(F, np.eye(2, dtype=np.int64), budget=n_actions)
+    assert len(calls) == n_actions
+
+
+def test_orbit_of_peak_is_a_few_times_the_member_keys():
+    # the orbit is held as keys and imaged in blocks of frontier keys, so
+    # no level's decoded images are held whole: 7.2 times the 1.5 MB of
+    # keys; imaging each level whole peaks at 16 times
+    F = GF(5)
+    A = np.array([[4, 3, 2], [1, 1, 0], [0, 0, 0]])
+    orbit_of(F, np.eye(3, dtype=np.int64))  # first-call imports and caches stay out
+    tracemalloc.start()
+    try:
+        res = orbit_of(F, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.orbit_size == 186000
+    assert peak <= 10 * 8 * res.orbit_size
 
 
 def test_ground_limit_errors_name_the_knob(monkeypatch):
