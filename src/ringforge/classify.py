@@ -81,10 +81,11 @@ def resolve_budget(budget=None) -> int:
     return int(env) if env else DEFAULT_BUDGET
 
 
-def _over_budget(what, budget) -> BudgetExceededError:
+def _over_budget(what, budget, knobs="budget=, --budget or ") -> BudgetExceededError:
+    # knobs: the caller's own settings of the budget, besides the variable
     return BudgetExceededError(
         f"{what}, over the action budget of {budget} "
-        f"(change it with budget=, --budget or {ENV_BUDGET})"
+        f"(change it with {knobs}{ENV_BUDGET})"
     )
 
 
@@ -527,16 +528,17 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
 
 # -- single-orbit closure --
 
-def _orbit_bfs(F, start, acts, spaces, budget, target=None):
+def _orbit_bfs(F, start, acts, spaces, budget, target=None, **knobs):
     """Breadth-first closure of the orbit of one (t, m) block under
     ``acts``, the (P, twist) pairs of ``_group_actions``, of spaces kept in
     RREF if ``spaces``.  Each level's frontier keys are decoded
     ``_BFS_CHUNK`` at a time and imaged by ``_keys`` into one action-major
     key array: image i has action i // len(frontier) and parent
     i % len(frontier), and the first image of each new key is kept.  The
-    budget is checked before a level is imaged.  Returns the sorted keys,
-    the block of the least, and the actions of the tree path from
-    ``start`` to the ``target`` key, None if no key is the target."""
+    budget is checked before a level is imaged; ``knobs``, if given, goes
+    to the error of ``_over_budget``.  Returns the sorted keys, the block of
+    the least, and the actions of the tree path from ``start`` to the
+    ``target`` key, None if no key is the target."""
     t, m = start.shape
 
     def decode(keys):
@@ -557,7 +559,8 @@ def _orbit_bfs(F, start, acts, spaces, budget, target=None):
         width = len(frontier)
         n_actions += width * len(acts)
         if n_actions > budget:
-            raise _over_budget(f"orbit closure reached {n_actions} actions", budget)
+            raise _over_budget(f"orbit closure reached {n_actions} actions", budget,
+                               **knobs)
         keys = np.empty((len(acts), width), dtype=seen.dtype)
         for lo in range(0, width, _BFS_CHUNK):
             V = decode(frontier[lo:lo + _BFS_CHUNK])

@@ -138,17 +138,25 @@ def _gather(T, flat, a, b):
     index before it writes that position, and with mode "clip" it writes
     in place (mode "raise" buffers the output).  So the gather allocates
     one array where flat[a*q + b] allocates three, and past a few thousand
-    elements those allocations cost more than the gather.  Codes are not
+    elements those allocations cost more than the gather.  That array
+    takes the memory order of an operand of the full shape, as a ufunc's
+    result would, so coordinate-major operands give a coordinate-major
+    result; ``take`` runs on its flat view in that order, since it copies
+    indices and output that are not C-contiguous.  Codes are not
     range-checked here; the public operations check them.
     """
     if isinstance(a, int):
         return T[a][b]
     if isinstance(b, int):
         return T[b][a]
-    idx = np.empty(np.broadcast(a, b).shape, dtype=np.int64)
+    shape = np.broadcast(a, b).shape
+    like = a if a.shape == shape else b if b.shape == shape else None
+    idx = (np.empty(shape, dtype=np.int64) if like is None
+           else np.empty_like(like, dtype=np.int64))
     np.multiply(a, len(T), out=idx, dtype=np.int64)
     idx += b
-    flat.take(idx, out=idx, mode="clip")
+    v = idx.ravel(order="K")
+    flat.take(v, out=v, mode="clip")
     # idx itself, not a view of it, so numpy can reuse it as a temporary;
     # a numpy scalar for two scalar operands
     return idx if idx.ndim else idx[()]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from . import linalg
@@ -20,22 +22,26 @@ def gl_order(q: int, s: int) -> int:
 
 
 def det_batch(F, A) -> np.ndarray:
-    """Determinants of a stack of square matrices (N, s, s)."""
+    """Determinants of a stack of square matrices (N, s, s), by cofactor
+    expansion along the first row, det A = sum_j (-1)^j A[0, j] det A(0|j),
+    where the minor A(0|j) drops row 0 and column j.  The minors are
+    expanded the same way and shared: ``minors`` maps each k columns to
+    the determinant of the last k rows on those columns, grown from the
+    empty set, whose determinant is 1.  A stack costs s*2^(s-1) products.
+    """
     A = np.asarray(A, dtype=np.int64)
-    s = A.shape[-1]
-    mul, add, neg = F._mul_raw, F._add_raw, F._neg_raw
-    if s == 1:
-        return A[:, 0, 0].copy()
-    if s == 2:
-        return add(mul(A[:, 0, 0], A[:, 1, 1]), neg(mul(A[:, 0, 1], A[:, 1, 0])))
-    if s == 3:
-        a, b, c = A[:, 0, 0], A[:, 0, 1], A[:, 0, 2]
-        d, e, f = A[:, 1, 0], A[:, 1, 1], A[:, 1, 2]
-        g, h, i = A[:, 2, 0], A[:, 2, 1], A[:, 2, 2]
-        pos = add(add(mul(a, mul(e, i)), mul(b, mul(f, g))), mul(c, mul(d, h)))
-        negt = add(add(mul(c, mul(e, g)), mul(b, mul(d, i))), mul(a, mul(f, h)))
-        return add(pos, neg(negt))
-    return np.array([linalg.det(F, M) for M in A], dtype=np.int64)
+    N, s = len(A), A.shape[-1]
+    minors = {(): np.ones(N, dtype=np.int64)}
+    for i in range(s - 1, -1, -1):
+        grown = {}
+        for cols in combinations(range(s), s - i):
+            d = np.zeros(N, dtype=np.int64)
+            for k, j in enumerate(cols):
+                term = F._mul_raw(A[:, i, j], minors[cols[:k] + cols[k + 1:]])
+                d = F._add_raw(d, F._neg_raw(term) if k % 2 else term)
+            grown[cols] = d
+        minors = grown
+    return minors[tuple(range(s))]
 
 
 def _extend(F, prefixes: np.ndarray) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Exact linear algebra over a GF instance.
 
 Matrices and vectors are numpy int64 arrays of element codes; only the
-lowered maps below are held in floats.  ``det``
-runs a plain python elimination (its matrices are tiny); the batched
-helpers carry the orbit engine and are vectorized over the leading axes.
+lowered maps below are held in floats.  The batched helpers carry the
+orbit engine and are vectorized over the leading axes.
 
 GF(q)-linear maps that act on many vectors (the group tensor of the
 orbit engines) are held lowered to Z_p, q = p^r: ``lower`` replaces each
@@ -23,13 +22,13 @@ reduction on digit rows: ``rref`` (and with it ``rank``, ``solve`` and
 ``inv_mat``) is its one-item case.  The one other is ``_rref_words``,
 the same Gauss-Jordan over GF(2) on rows packed into integer words, where
 a row operation is one XOR; the subspace BFS uses it over GF(2) while a
-space's key fits int64, and ``rref_batch`` everywhere else.  ``det``
-keeps its own elimination, because a determinant's value and sign are
-not part of an RREF.  Each ``rref_batch`` step works on whole (N, m)
-rows, so its numpy overhead does not grow with m.  Prime
-fields are eliminated in the narrow signed dtype of ``_elim_dtype``
-(int8 up to p = 11, int16 up to p = 181), so each step moves less
-memory; the result is int64 like every other array here.
+space's key fits int64, and ``rref_batch`` everywhere else.  A matrix
+is invertible when its ``rank`` is its size; ``gl.det_batch`` takes no
+elimination.  Each ``rref_batch`` step works on whole (N, m) rows, so
+its numpy overhead does not grow with m.  Prime fields are eliminated
+in the narrow signed dtype of ``_elim_dtype`` (int8 up to p = 11, int16
+up to p = 181), so each step moves less memory; the result is int64
+like every other array here.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 
 __all__ = [
     "mat", "identity", "mat_mul", "rref", "rank",
-    "det", "inv_mat", "solve", "lower", "kron_batch",
+    "inv_mat", "solve", "lower", "kron_batch",
     "linmap_apply", "rref_batch", "encode_rows", "decode_codes",
 ]
 
@@ -83,35 +82,6 @@ def rref(F, M):
 
 def rank(F, M) -> int:
     return len(rref(F, M)[1])
-
-
-def det(F, A) -> int:
-    A = np.asarray(A, dtype=np.int64)
-    s = A.shape[0]
-    if A.shape != (s, s):
-        raise ValueError(f"matrix is not square: {A.shape}")
-    R = [list(map(int, row)) for row in A]
-    mul, add, neg, inv = F.mul, F.add, F.neg, F.inv
-    d = 1
-    for j in range(s):
-        pr = None
-        for i in range(j, s):
-            if R[i][j]:
-                pr = i
-                break
-        if pr is None:
-            return 0
-        if pr != j:
-            R[j], R[pr] = R[pr], R[j]
-            d = neg(d)
-        d = mul(d, R[j][j])
-        c = inv(R[j][j])
-        for i in range(j + 1, s):
-            f = R[i][j]
-            if f:
-                f = mul(f, c)
-                R[i] = [add(x, neg(mul(f, y))) for x, y in zip(R[i], R[j])]
-    return d
 
 
 def inv_mat(F, A) -> np.ndarray:
@@ -347,29 +317,28 @@ def _rref_words(W):
 def encode_rows(rows, q: int):
     """Row vectors of codes -> integer keys, first entry most significant.
 
-    Keys fit int64 while m*log2(q) <= 62 and are python ints beyond.  Rows
-    in a narrow dtype are widened to int64 ``_ENCODE_CHUNK`` rows at a
-    time, so no int64 copy of the whole input is made.
+    A row is cut into words of at most w = 62 // log2(q) digits from its
+    end, as ``decode_codes`` cuts a key, and each word is one int64 matmul.
+    Keys fit int64 while m <= w, that is m*log2(q) <= 62, and are python
+    ints beyond, joined from the words with two object operations a word.
+    Rows in a narrow dtype are widened to int64 ``_ENCODE_CHUNK`` rows at
+    a time, so no int64 copy of the whole input is made.
     """
     rows = np.asarray(rows)
     m = rows.shape[-1]
-    if m * np.log2(q) <= 62:
-        pows = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        flat = rows.reshape(-1, m)
-        out = np.empty(len(flat), dtype=np.int64)
-        for lo in range(0, len(flat), _ENCODE_CHUNK):
-            block = flat[lo:lo + _ENCODE_CHUNK]
-            out[lo:lo + len(block)] = block.astype(np.int64, copy=False) @ pows
-        # [()] turns the 0-d result of a single row into a scalar
-        return out.reshape(rows.shape[:-1])[()]
+    w = int(62 // np.log2(q))           # digits per int64 word
+    pows = q ** np.arange(w - 1, -1, -1, dtype=np.int64)
+    cuts = [0, *range(m % w or w, m, w), m]      # the first word may be short
     flat = rows.reshape(-1, m)
-    out = np.empty(flat.shape[0], dtype=object)
-    for i, row in enumerate(flat):
-        v = 0
-        for c in row:
-            v = v * q + int(c)
-        out[i] = v
-    return out.reshape(rows.shape[:-1])
+    out = np.empty(len(flat), dtype=np.int64 if m <= w else object)
+    for lo in range(0, len(flat), _ENCODE_CHUNK):
+        block = flat[lo:lo + _ENCODE_CHUNK].astype(np.int64, copy=False)
+        key = out[lo:lo + len(block)]
+        for a, b in zip(cuts, cuts[1:]):
+            word = block[:, a:b] @ pows[w - (b - a):]
+            key[...] = word if a == 0 else key * q ** (b - a) + word
+    # [()] turns the 0-d result of a single row into a scalar
+    return out.reshape(rows.shape[:-1])[()]
 
 
 def decode_codes(codes, q: int, m: int, dtype=np.int64) -> np.ndarray:

@@ -70,7 +70,7 @@ def congruence_twist(F, C, A, e: int = 0) -> np.ndarray:
     s = A.shape[0]
     if A.shape != (s, s) or C.shape != (s, s):
         raise ValueError(f"shape mismatch: A {A.shape}, C {C.shape}")
-    if linalg.det(F, C) == 0:
+    if linalg.rank(F, C) < len(C):
         raise ValueError("C is singular")
     return linalg.mat_mul(F, linalg.mat_mul(F, C.T, F.frobenius(A, e)), C)
 

@@ -516,6 +516,14 @@ def _psi_apply(ringA: Ring, witness: IsoWitness, X):
     return linalg.linmap_apply(F, X, linalg.lower(F, Psi))
 
 
+def _square(F: GF, M, n: int, name: str) -> np.ndarray:
+    """M as codes of F, refused unless it is n x n."""
+    M = linalg.mat(F, M)
+    if M.shape != (n, n):
+        raise ValueError(f"{name} has shape {M.shape}, not ({n}, {n})")
+    return M
+
+
 def verify_witness(specA: RingSpec, specD: RingSpec, witness: IsoWitness,
                    exhaustive: bool = False) -> bool:
     """Check the witness map is a bijective homomorphism.
@@ -525,10 +533,13 @@ def verify_witness(specA: RingSpec, specD: RingSpec, witness: IsoWitness,
     multiplicativity on all Z_p-basis pairs is complete by biadditivity.
     Exhaustive mode checks every element pair instead: it maps the N
     elements once and reads psi(xy) by a gather at the product's code.
+    A C or B of the wrong shape, or with codes out of range, raises a
+    ValueError.
     """
     ringA, ringD = Ring(specA), Ring(specD)
     F = ringA.field
-    if linalg.det(F, witness.C) == 0 or linalg.det(F, witness.B) == 0:
+    C, B = _square(F, witness.C, ringA.s, "C"), _square(F, witness.B, ringA.t, "B")
+    if linalg.rank(F, C) < ringA.s or linalg.rank(F, B) < ringA.t:
         return False
     if sorted(witness.v_perm) != list(range(ringA.lam)):
         return False
@@ -629,7 +640,8 @@ def iso_test(specA: RingSpec, specD: RingSpec) -> IsoWitness | None:
     target_R, _ = linalg.rref(F, D_rows)
     target = int(linalg.encode_rows(target_R.reshape(-1), F.q))
     gens, acts = _group_actions(F, ringA.sigma, use_frobenius=True)
-    _, _, path = _orbit_bfs(F, A_rows, acts, True, resolve_budget(), target)
+    # iso_test takes its budget from the variable alone
+    _, _, path = _orbit_bfs(F, A_rows, acts, True, resolve_budget(), target, knobs="")
     if path is None:
         return None
     e, C = 0, linalg.identity(s)
@@ -670,15 +682,15 @@ def equivalent_spec(spec: RingSpec, C, sigma_e: int = 0, B=None,
         raise ValueError(
             f"tail_perm {tuple(tail_perm)} is not a permutation of range({lam})"
         )
-    C = linalg.mat(F, C)
-    if linalg.det(F, C) == 0:
+    C = _square(F, C, s, "C")
+    if linalg.rank(F, C) < s:
         raise ValueError("C is singular")
     if any(C[i, j] for i in range(s) for j in range(s) if ring.sigma[i] != ring.sigma[j]):
         raise ValueError("C joins U coordinates with different sigma")
     if B is None:
         B = linalg.identity(t)
-    B = linalg.mat(F, B)
-    if linalg.det(F, B) == 0:
+    B = _square(F, B, t, "B")
+    if linalg.rank(F, B) < t:
         raise ValueError("B is singular")
     twisted = linalg.linmap_apply(
         F, F._frob_raw(ring.matrices, sigma_e).reshape(t, s * s),

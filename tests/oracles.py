@@ -6,10 +6,10 @@ product and lowering of ``kron``, the determinants of ``gl_det_filter``,
 the ring products and scalar ranks of ``brute_structure`` and the
 kernels of ``iso_exhaustive`` and ``congruence_sweep``, independent of
 the package: plain itertools enumeration, float determinants (exact for
-the sizes and moduli involved), python-list elimination, and
-dictionary-based orbit bookkeeping.  ``iso_exhaustive`` is the
-whole-group isomorphism search that ``iso_test`` replaced: it shares no
-search order, prefilter or orbit search with it.  ``congruence_sweep`` is
+the sizes and moduli involved), python-list elimination, digit-by-digit
+integer keys, and dictionary-based orbit bookkeeping.  ``iso_exhaustive``
+is the whole-group isomorphism search that ``iso_test`` replaced: it
+shares no search order, prefilter or orbit search with it.  ``congruence_sweep`` is
 the whole-group congruence classification that the generator BFS of
 ``classify_congruence`` replaced.  ``table_components`` labels the
 components of a BFS image table by a scalar graph search, not the
@@ -37,12 +37,25 @@ def raw_gl(p: int, s: int) -> np.ndarray:
     return np.array(out)
 
 
+def encode_rows_scalar(rows, q: int) -> list:
+    """Integer key of each row (N, m), first entry most significant, by a
+    python loop over every digit."""
+    keys = []
+    for row in np.asarray(rows).tolist():
+        key = 0
+        for c in row:
+            key = key * q + c
+        keys.append(key)
+    return keys
+
+
 def gl_det_filter(F, s: int) -> np.ndarray:
     """GL(s, F) ascending by code: every s x s matrix in itertools.product
     order, kept when its determinant is nonzero.
 
     The determinants come from the package's ``det_batch``, which
-    test_linalg checks against the scalar ``det`` on its own.
+    test_linalg checks against np.linalg.det mod p and against full rank
+    on its own.
     """
     from ringforge.gl import det_batch
 
@@ -463,7 +476,7 @@ def iso_exhaustive(specA, specD):
             if any(c is None for c in cols):
                 continue
             B = np.stack(cols, axis=1)
-            if linalg.det(F, B) == 0:
+            if linalg.rank(F, B) < t:
                 continue
             witness = IsoWitness(sigma=e, C=Gmats[ci], B=B, v_perm=perm)
             if verify_witness(specA, specD, witness):

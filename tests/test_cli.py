@@ -147,6 +147,17 @@ def test_iso_twisted_witness_off_the_fixed_subfield(capsys, tmp_path):
     assert '"isomorphic": true' in out
 
 
+def test_iso_budget_error_names_only_the_variable(capsys, tmp_path, monkeypatch):
+    # ringforge iso has no --budget and iso_test no budget=
+    monkeypatch.setenv("RINGFORGE_BUDGET", "1")
+    left = write_spec(tmp_path, "a.json", prime_spec(3, [[[1, 0], [0, 0]]]))
+    right = write_spec(tmp_path, "d.json", prime_spec(3, [[[0, 0], [0, 1]]]))
+    code, out, err = run_cli(capsys, "iso", "--left", left, "--right", right)
+    assert code == 2 and out == ""
+    assert err.startswith("error: orbit closure reached")
+    assert err.rstrip().endswith("(change it with RINGFORGE_BUDGET)")
+
+
 def test_iso_distinct_classes(capsys, tmp_path):
     a = prime_spec(3, np.eye(2, dtype=np.int64))
     d = prime_spec(3, [[[0, 1], [2, 0]]])

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -274,6 +275,30 @@ def test_kernels_match_naive(p, r, dtype):
         assert np.ravel(F._sub_mul_raw(x, g, y)).tolist() == [
             sub(u, mul(v, w)) for u, v, w in zip(*(np.ravel(z).tolist() for z in
                                                    np.broadcast_arrays(x, g, y)))]
+
+
+def test_gather_keeps_the_operands_layout():
+    # a coordinate-major operand gives a coordinate-major result, as a
+    # ufunc's would, so Ring.mul_batch reads it back without a copy; a
+    # gather allocates its one int64 result and nothing more, in either order
+    F = GF(3, 2)
+    x = np.ascontiguousarray(np.arange(600).reshape(200, 3).T % 9).T
+    for raw in (F._add_raw, F._mul_raw):
+        assert raw(x, x).flags.f_contiguous
+        assert raw(x, x[:1]).flags.f_contiguous
+        assert raw(x[:1], x).flags.f_contiguous
+        assert raw(x.copy(), x).flags.c_contiguous
+    a = np.arange(100_000) % 9
+    f = np.ascontiguousarray(a.reshape(25_000, 4).T).T
+    for raw, u in product((F._add_raw, F._mul_raw), (a, f)):
+        raw(u, u)
+        tracemalloc.start()
+        try:
+            raw(u, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= u.nbytes + 4096
 
 
 def test_code_range_checks(F):

@@ -10,8 +10,8 @@ from ringforge import linalg as la
 from ringforge.classify import _check_rank
 from ringforge.gl import det_batch, enumerate_gl, gl_generators, gl_order
 
-from oracles import (gf_table_kron, gf_table_matmul, gl_det_filter, kron, raw_gl,
-                     rref_scalar)
+from oracles import (encode_rows_scalar, gf_table_kron, gf_table_matmul, gl_det_filter,
+                     kron, raw_gl, rref_scalar)
 
 
 def random_matrices(F, s, count, seed):
@@ -23,7 +23,7 @@ def random_invertible(F, s, seed):
     rng = np.random.default_rng(seed)
     while True:
         A = rng.integers(0, F.q, size=(s, s), dtype=np.int64)
-        if la.det(F, A) != 0:
+        if la.rank(F, A) == s:
             return A
 
 
@@ -190,17 +190,17 @@ def test_singular_rejected():
 @pytest.mark.parametrize("q,r", [(5, 1), (2, 2)])
 def test_det_multiplicative(q, r):
     F = GF(q, r)
-    for seed in range(10):
-        A = random_matrices(F, 3, 1, seed)[0]
-        B = random_matrices(F, 3, 1, seed + 100)[0]
-        assert la.det(F, la.mat_mul(F, A, B)) == F.mul(la.det(F, A), la.det(F, B))
+    for s in (3, 4):
+        A = random_matrices(F, s, 10, seed=s)
+        B = random_matrices(F, s, 10, seed=s + 100)
+        AB = np.array([la.mat_mul(F, a, b) for a, b in zip(A, B)])
+        assert np.array_equal(det_batch(F, AB), F.mul(det_batch(F, A), det_batch(F, B)))
 
 
 def test_det_identity_and_swap():
     F = GF(7)
-    assert la.det(F, la.identity(4)) == 1
-    M = la.identity(4)[[1, 0, 2, 3]]
-    assert la.det(F, M) == F.neg(1)
+    M = np.stack([la.identity(4), la.identity(4)[[1, 0, 2, 3]]])
+    assert det_batch(F, M).tolist() == [1, F.neg(1)]
 
 
 def test_solve_round_trip():
@@ -352,6 +352,23 @@ def test_encode_decode_round_trip():
     assert np.array_equal(la.decode_codes(codes, 3, 5), rows)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 16, 65521])
+def test_encode_rows_matches_digit_loop_at_every_width(q):
+    # widths around the w = 62 // log2(q) digits of one int64 word; a
+    # single row encodes to a scalar at every width
+    w = int(62 // np.log2(q))
+    rng = np.random.default_rng(q)
+    for m in (w - 1, w, w + 1, 2 * w + 1):
+        rows = rng.integers(0, q, size=(30, m), dtype=np.int64)
+        rows[0] = q - 1
+        codes = la.encode_rows(rows, q)
+        assert codes.dtype == (np.int64 if m <= w else object)
+        assert codes.tolist() == encode_rows_scalar(rows, q)
+        assert np.array_equal(la.decode_codes(codes, q, m), rows)
+        key = la.encode_rows(rows[1], q)
+        assert not isinstance(key, np.ndarray) and key == codes[1]
+
+
 @pytest.mark.parametrize("p,r", [(17, 1), (2, 4), (251, 1)])
 def test_narrow_codes_match_int64(p, r, monkeypatch):
     # narrow codes decode, encode (across a block boundary) and map
@@ -418,11 +435,23 @@ def test_enumerate_gl_extension_field():
 
 
 def test_det_batch_matches_scalar():
-    F = GF(3)
-    stack = np.random.default_rng(4).integers(0, 3, size=(40, 3, 3), dtype=np.int64)
-    d = det_batch(F, stack)
-    for i in range(40):
-        assert d[i] == la.det(F, stack[i])
+    # np.linalg.det is exact here: entries below p <= 7 and s <= 5 keep
+    # every determinant (Hadamard bound 6^5 * 5^2.5 < 5 * 10^5) far inside
+    # float precision
+    rng = np.random.default_rng(4)
+    for p, s in [(3, 3), (5, 4), (5, 5), (7, 4), (7, 5)]:
+        stack = rng.integers(0, p, size=(40, s, s), dtype=np.int64)
+        want = [round(np.linalg.det(M)) % p for M in stack]
+        assert det_batch(GF(p), stack).tolist() == want
+
+
+@pytest.mark.parametrize("p,r,s", [(2, 2, 2), (3, 1, 3)])
+def test_det_batch_nonzero_iff_full_rank(p, r, s):
+    # every s x s matrix: a nonzero determinant is exactly full rank
+    F = GF(p, r)
+    mats = la.decode_codes(np.arange(F.q ** (s * s)), F.q, s * s).reshape(-1, s, s)
+    _, ranks = la.rref_batch(F, mats)
+    assert np.array_equal(det_batch(F, mats) != 0, ranks == s)
 
 
 def _closure_size(F, gens):

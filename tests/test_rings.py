@@ -172,6 +172,16 @@ def test_mul_batch_layouts_agree():
         assert tuple(ref[0]) != ring_mul_scalar(ring, X[0], Y[0])
 
 
+def test_sums_of_coordinate_major_blocks_stay_coordinate_major():
+    # check_axioms' y + z over a p > 2 extension field feeds mul_batch,
+    # which copies an operand whose coordinate rows are not contiguous
+    ring = Ring(RingSpec(GF(3, 2), 1, 1, 0, np.array([[[1]]]), (0,), (0,)))
+    X = np.random.default_rng(9).integers(0, 9, size=(50, ring.n), dtype=np.int64)
+    x = np.ascontiguousarray(X.T).T
+    for out in (ring.add(x, x), ring.mul_batch(x, x)):
+        assert np.moveaxis(out, -1, 0).flags.c_contiguous
+
+
 def test_table_cap():
     ring = Ring(prime_spec(5, np.eye(3, dtype=np.int64), lam=2))  # 5^7
     with pytest.raises(ValueError, match="capped"):
@@ -607,6 +617,14 @@ def test_witness_rejects_tampering():
     assert not verify_witness(a, d, bad)
     singular = IsoWitness(w.sigma, np.zeros((2, 2), np.int64), w.B, w.v_perm)
     assert not verify_witness(a, d, singular)
+    out_of_range = IsoWitness(w.sigma, np.array([[5, 0], [0, 1]], np.int64), w.B, w.v_perm)
+    with pytest.raises(ValueError, match="out of range"):
+        verify_witness(a, d, out_of_range)
+    # a full-rank wide C, a square C of the wrong size, a B of the wrong size
+    for C, B in (([[1, 0, 0], [0, 1, 0]], w.B), (la.identity(3), w.B),
+                 (w.C, la.identity(2))):
+        with pytest.raises(ValueError, match="has shape"):
+            verify_witness(a, d, IsoWitness(w.sigma, np.array(C), np.array(B), w.v_perm))
 
 
 def test_witness_checks_field_basis_pairs():
@@ -633,6 +651,16 @@ def test_equivalent_spec_rejects_singular():
         equivalent_spec(a, [[1, 1], [1, 1]])
     with pytest.raises(ValueError, match="B is singular"):
         equivalent_spec(a, la.identity(2), B=[[0]])
+
+
+def test_equivalent_spec_rejects_wrong_shapes():
+    a = prime_spec(3, [[[1, 0], [0, 2]]])
+    with pytest.raises(ValueError, match=r"C has shape \(2, 3\), not \(2, 2\)"):
+        equivalent_spec(a, [[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError, match=r"C has shape \(3, 3\)"):
+        equivalent_spec(a, la.identity(3))
+    with pytest.raises(ValueError, match=r"B has shape \(2, 2\), not \(1, 1\)"):
+        equivalent_spec(a, la.identity(2), B=la.identity(2))
 
 
 def test_equivalent_spec_theta_overdetermined():
@@ -668,7 +696,7 @@ def test_equivalent_spec_returns_only_isomorphic_presentations(seed):
     across = np.not_equal.outer(spec.sigma, spec.sigma)
     if rng.integers(0, 2):
         C = np.where(across, 0, C)
-        if la.det(F, C) == 0:
+        if la.rank(F, C) < s:
             C = la.identity(s)
     sigma_e, B = int(rng.integers(0, F.r)), random_invertible(rng, F, spec.t)
     if C[across].any():
@@ -700,7 +728,7 @@ def test_iso_round_trip_random(seed):
     spec = prime_spec(q, A)
     while True:
         C = rng.integers(0, q, size=(2, 2), dtype=np.int64)
-        if la.det(F, C) != 0:
+        if la.rank(F, C) == 2:
             break
     beta = int(rng.integers(1, q))
     d = equivalent_spec(spec, C, B=[[beta]])
@@ -717,7 +745,7 @@ def random_invertible(rng, F, s, sigma=None):
     keep = True if sigma is None else np.equal.outer(sigma, sigma)
     while True:
         C = np.where(keep, rng.integers(0, F.q, size=(s, s), dtype=np.int64), 0)
-        if la.det(F, C) != 0:
+        if la.rank(F, C) == s:
             return C
 
 

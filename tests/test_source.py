@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -29,6 +30,19 @@ def test_all_names_exist():
                                          if path.stem != "__init__" else "ringforge")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, f"{path.name} exports missing names {missing}"
+
+
+# a limit's error names the module attribute that changes it
+# ("change it with ringforge.gl.ENUM_LIMIT"); that attribute must exist
+def test_knobs_named_in_errors_exist():
+    named = set()
+    for path in sorted(SRC.glob("*.py")):
+        named.update(re.findall(r"change it with ringforge\.(\w+)\.(\w+)",
+                                path.read_text()))
+    assert len(named) >= 4
+    for module, attr in sorted(named):
+        assert hasattr(importlib.import_module(f"ringforge.{module}"), attr), \
+            f"ringforge.{module}.{attr}"
 
 
 # numpy is the only dependency; importing scipy cost most of the set-up
