@@ -89,17 +89,36 @@ def _over_budget(what, budget, knobs="budget=, --budget or ") -> BudgetExceededE
     )
 
 
-def _check_ground_bytes(N, what, code_bytes, n_actions, entries) -> None:
-    """Refuse a BFS whose predicted peak is over ``_GROUND_BYTES``: N codes,
-    the (N, n_actions) int32 image table, about 32 bytes an object for the
-    union-find's gathers and compares, and one block's temporaries, about
-    eight int64 copies of each object's ``entries`` digits."""
-    need = N * (code_bytes + 4 * n_actions + 32) + _BFS_CHUNK * entries * 64
+def _over_bytes(what, need) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"{what} needs about {need} bytes, over the ground-set limit of "
+        f"{_GROUND_BYTES} bytes (change it with ringforge.classify._GROUND_BYTES)")
+
+
+def _key_bytes(q, n) -> int:
+    """Bytes of a key of n digits: int64, or beyond 62 bits an object
+    pointer and the python int behind it."""
+    return 8 if n * np.log2(q) <= 62 else 8 + (q ** n).__sizeof__()
+
+
+def _check_ground_bytes(N, what, code_bytes, n_actions, entries, build_bytes) -> None:
+    """Refuse a BFS whose predicted peak is over ``_GROUND_BYTES``.  The
+    BFS holds N codes of ``code_bytes`` (0 when no ground array is kept),
+    then an (N, n_actions) int32 image table and an int32 ``parent``.  Its
+    peak is the largest of three phases:
+    the build of the codes, ``build_bytes`` an object;
+    the union-find: codes, table and parent;
+    the tail, with the table freed: codes, parent and ``np.unique``'s
+    sorted int32 copy and bool mask, 9 bytes an object.
+    The last two add one image block's temporaries, about eight int64
+    copies of each object's ``entries`` digits, since the allocator keeps
+    what imaging freed; a union-find block's gathers and compares, under
+    64 bytes a row, are smaller, and imaging holds less than the
+    union-find."""
+    need = max(N * build_bytes,
+               N * (code_bytes + max(4 * n_actions + 4, 9)) + _BFS_CHUNK * entries * 64)
     if need > _GROUND_BYTES:
-        raise BudgetExceededError(
-            f"ground set of {N} {what} needs about {need} bytes, over the "
-            f"ground-set limit of {_GROUND_BYTES} bytes "
-            f"(change it with ringforge.classify._GROUND_BYTES)")
+        raise _over_bytes(f"ground set of {N} {what}", need)
 
 
 @dataclass
@@ -181,32 +200,52 @@ def _orbit_roots(dst):
     column a of the (N, g) image table: the minimum index of its connected
     component.
 
-    Hook and shortcut (Shiloach-Vishkin): for each column, the larger
-    parent of every edge is hooked under the smaller with
-    ``np.minimum.at``; then pointers jump (parent = parent[parent]) until
-    every node points at a root; passes repeat until one hooks nothing.
-    Every pointer goes to a smaller index and every hook joins two nodes
-    of one component, so when no edge is left between two roots each
-    component has one root, its minimum.  The sum of the parents falls in
-    every pass that hooks, so the loop ends.
+    Hook and shortcut (Shiloach-Vishkin), in blocks of ``_BFS_CHUNK``
+    rows, so nothing of length N is allocated beyond ``parent``.  A hook
+    pass takes, for each column and block, the parents u of the block's
+    nodes and v of their images, and hooks the larger of each differing
+    pair under the smaller with ``np.minimum.at``.  Then the blocks are
+    jumped in ascending order, each in place (parent[x] =
+    parent[parent[x]]) until a jump changes none of its pointers.  Hook
+    passes repeat until one finds no differing pair.
+
+    Proof.  Every node's pointer goes to a node of its own component no
+    larger than itself: a hook writes into parent[w] a value below w
+    taken from the parents of two adjacent nodes, and a jump moves a
+    pointer to its pointer's pointer, so both keep this, whatever blocks
+    have been written before.  A jump leaves every root a root.  When a
+    block's jumps stop, parent[parent[x]] = parent[x] for each of its
+    nodes x, so every node of it points at a root; later blocks do not
+    write into it, so after the sweep every node points at a root.  A
+    pass that finds no differing pair writes nothing and starts there;
+    so every edge then joins two nodes of one root, each component has
+    one root, and that root is at most every node of it: its minimum.
+    Writes only lower pointers, and the first differing pair of a pass
+    has two roots u != v, so its hook lowers parent[max(u, v)] =
+    max(u, v): the sum of the parents falls in every pass that hooks, so
+    the loop ends.
     """
-    N = len(dst)
+    N, g = dst.shape
     parent = np.arange(N, dtype=dst.dtype)
+    blocks = [slice(lo, lo + _BFS_CHUNK) for lo in range(0, N, _BFS_CHUNK)]
     hooked = True
     while hooked:
         hooked = False
-        for a in range(dst.shape[1]):
-            other = parent[dst[:, a]]
-            cross = np.flatnonzero(parent != other)
-            if len(cross):
-                u, v = parent[cross], other[cross]
-                np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
-                hooked = True
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
+        for a in range(g):
+            for rows in blocks:
+                u, v = parent[rows], parent[dst[rows, a]]
+                cross = u != v
+                if cross.any():
+                    u, v = u[cross], v[cross]
+                    np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
+                    hooked = True
+        for rows in blocks:
+            blk = parent[rows]
+            while True:
+                up = parent[blk]
+                if np.array_equal(up, blk):
+                    break
+                blk[:] = up
     return parent
 
 
@@ -217,8 +256,10 @@ def _bfs_orbits(N, load, actions, ground):
     whole ground set is held.  ``load(lo, hi)`` returns objects lo..hi-1
     in the form the actions take; an action returns their images' keys,
     located in the sorted codes ``ground``, or indices if it is None.
-    Returns an iterator of (first index, size), ascending by first index,
-    so every orbit is named by its minimum."""
+    The image table is freed once ``_orbit_roots`` has read it, before
+    the roots are sorted and counted.  Returns an iterator of (first
+    index, size), ascending by first index, so every orbit is named by
+    its minimum."""
     dst = np.empty((N, len(actions)), dtype=np.int32)
     for lo in range(0, N, _BFS_CHUNK):
         hi = min(lo + _BFS_CHUNK, N)
@@ -226,9 +267,9 @@ def _bfs_orbits(N, load, actions, ground):
         for a, act in enumerate(actions):
             dst[lo:hi, a] = act(V) if ground is None else _ground_index(ground, act(V))
     parent = _orbit_roots(dst)
-    firsts = np.flatnonzero(parent == np.arange(N))
-    sizes = np.bincount(parent, minlength=N)[firsts]
-    return zip(firsts, sizes)
+    del dst
+    firsts, sizes = np.unique(parent, return_counts=True)
+    return zip(firsts.astype(np.intp), sizes)
 
 
 def _twist_maps(F, C, sigma) -> np.ndarray:
@@ -275,6 +316,8 @@ def _group_actions(F, sigma, use_frobenius=False):
     On pairs (C, e), the map A -> twist_C(Frob_e(A)), a twisted action
     with generator g gives (Frob(C) g, e + 1) and any other (C g, e),
     as phi twist_C = twist_Frob(C) phi and twist_g twist_C = twist_(C g)."""
+    if len(sigma) < 1:
+        raise ValueError(f"s must be >= 1, got {len(sigma)}")
     sig = np.asarray(sigma)
     fold = use_frobenius and F.r > 1          # phi still to be placed
     gens, twists = [], []
@@ -330,7 +373,10 @@ def classify_congruence(F, s: int, symmetric_only: bool = False,
     N = q ** (s * (s + 1) // 2) if symmetric_only else q ** m
     acts = _group_actions(F, (0,) * s)[1]
     _check_bfs_budget(N, len(acts), "congruence", resolve_budget(budget))
-    _check_ground_bytes(N, "matrices", 8 if symmetric_only else 0, len(acts), m)
+    # the symmetric ground is built from an (N, s*s) int64 array of
+    # matrices, its decoded upper triangles and a few int64 columns
+    _check_ground_bytes(N, "matrices", 8 if symmetric_only else 0, len(acts), m,
+                        8 * (m + s * (s + 1) // 2 + 4) if symmetric_only else 0)
 
     ground = None                     # over all matrices a key is its index
     if symmetric_only:
@@ -499,9 +545,9 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
         if sweep_actions > budget:
             raise _over_budget(f"subspace sweep needs {sweep_actions} actions", budget)
         engine = _sweep_subspaces
-    # keys wider than int64 are python ints behind object pointers
-    code_bytes = 8 if n * np.log2(q) <= 62 else 8 + (q ** n).__sizeof__()
-    _check_ground_bytes(N, "subspaces", code_bytes, n_actions, n)
+    # the build holds the codes twice: its pivot blocks and their concatenation
+    code_bytes = _key_bytes(q, n)
+    _check_ground_bytes(N, "subspaces", code_bytes, n_actions, n, 2 * code_bytes)
 
     codes = subspace_rows(F, s, t)
     firsts, sizes = map(np.array, zip(*engine(F, s, t, use_frobenius, codes)))
@@ -535,11 +581,20 @@ def _orbit_bfs(F, start, acts, spaces, budget, target=None, **knobs):
     ``_BFS_CHUNK`` at a time and imaged by ``_keys`` into one action-major
     key array: image i has action i // len(frontier) and parent
     i % len(frontier), and the first image of each new key is kept.  The
-    budget is checked before a level is imaged; ``knobs``, if given, goes
-    to the error of ``_over_budget``.  Returns the sorted keys, the block of
-    the least, and the actions of the tree path from ``start`` to the
-    ``target`` key, None if no key is the target."""
+    budget and ``_GROUND_BYTES`` are checked before a level is imaged;
+    ``knobs``, if given, goes to the error of ``_over_budget``.  Returns
+    the sorted keys, the block of the least, and the actions of the tree
+    path from ``start`` to the ``target`` key, None if no key is the
+    target.
+
+    A level of S seen keys and n = (actions x frontier) images peaks at
+    S * (2k + 9) + n * (3k + 34) bytes and one block's temporaries, k
+    bytes a key (``_key_bytes``): the seen keys, their 8-byte first
+    indices in ``sources``, and ``np.insert``'s copy and mask of them; the
+    key array, and ``np.unique``'s sorted copy, int64 order, mask and
+    outputs; ``searchsorted``'s positions and the insert's indices."""
     t, m = start.shape
+    key_bytes = _key_bytes(F.q, t * m)
 
     def decode(keys):
         return linalg.decode_codes(keys, F.q, t * m).reshape(-1, t, m)
@@ -557,10 +612,16 @@ def _orbit_bfs(F, start, acts, spaces, budget, target=None, **knobs):
                 path.insert(0, action)
             break
         width = len(frontier)
-        n_actions += width * len(acts)
+        images = width * len(acts)
+        n_actions += images
         if n_actions > budget:
             raise _over_budget(f"orbit closure reached {n_actions} actions", budget,
                                **knobs)
+        need = (len(seen) * (2 * key_bytes + 9) + images * (3 * key_bytes + 34)
+                + min(width, _BFS_CHUNK) * t * m * 64)
+        if need > _GROUND_BYTES:
+            raise _over_bytes(f"orbit closure level ({len(seen)} seen keys, "
+                              f"{images} images)", need)
         keys = np.empty((len(acts), width), dtype=seen.dtype)
         for lo in range(0, width, _BFS_CHUNK):
             V = decode(frontier[lo:lo + _BFS_CHUNK])

@@ -236,6 +236,8 @@ def _checks(scope: str) -> list:
                  if c.commutative_capable)),
             ("congruence classes, s=3 over GF(3)", "closed form 3q+16 for odd q",
              congruence_class_count(3, 3), congr(3, 1, 3)),
+            ("congruence classes, s=3 over GF(7)", "closed form 3q+16 for odd q",
+             congruence_class_count(7, 3), congr(7, 1, 3)),
             ("line classes, s=3 over GF(3)",
              "scaling merges p+6 congruence pairs; sweep, generator BFS, and "
              "a raw minimum-over-group scan agree",

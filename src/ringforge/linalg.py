@@ -329,7 +329,7 @@ def encode_rows(rows, q: int):
     w = int(62 // np.log2(q))           # digits per int64 word
     pows = q ** np.arange(w - 1, -1, -1, dtype=np.int64)
     cuts = [0, *range(m % w or w, m, w), m]      # the first word may be short
-    flat = rows.reshape(-1, m)
+    flat = rows.reshape(int(np.prod(rows.shape[:-1])), m)     # -1 fails at m = 0
     out = np.empty(len(flat), dtype=np.int64 if m <= w else object)
     for lo in range(0, len(flat), _ENCODE_CHUNK):
         block = flat[lo:lo + _ENCODE_CHUNK].astype(np.int64, copy=False)

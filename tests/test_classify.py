@@ -482,20 +482,40 @@ def _image_tables():
 IMAGE_TABLES = _image_tables()
 
 
+# blocks of 7 rows put hooks and jumps across block edges and leave a
+# ragged last block
 @pytest.mark.parametrize("name", IMAGE_TABLES)
-def test_orbit_roots_match_component_oracle(name):
+def test_orbit_roots_match_component_oracle(name, monkeypatch):
     dst = IMAGE_TABLES[name]
+    monkeypatch.setattr(classify_module, "_BFS_CHUNK", 7)
     assert np.array_equal(_orbit_roots(dst), table_components(dst))
 
 
 @pytest.mark.parametrize("name", IMAGE_TABLES)
 def test_bfs_orbits_match_component_oracle(name, monkeypatch):
     dst = IMAGE_TABLES[name]
-    monkeypatch.setattr(classify_module, "_BFS_CHUNK", 64)
+    monkeypatch.setattr(classify_module, "_BFS_CHUNK", 7)
     firsts, sizes = np.unique(table_components(dst), return_counts=True)
     actions = [lambda V, a=a: dst[V, a] for a in range(dst.shape[1])]
     got = _bfs_orbits(len(dst), lambda lo, hi: np.arange(lo, hi), actions, None)
     assert [(int(i), int(n)) for i, n in got] == list(zip(firsts.tolist(), sizes.tolist()))
+
+
+def test_orbit_roots_allocates_parent_and_one_block(monkeypatch):
+    # beyond the 800 kB parent of 200k nodes the union-find holds one
+    # block's gathers and compares; whole-column temporaries take 32
+    # bytes a node, 6.4 MB
+    monkeypatch.setattr(classify_module, "_BFS_CHUNK", 4096)
+    N = 200_000
+    dst = np.random.default_rng(4).integers(0, N, size=(N, 2)).astype(np.int32)
+    tracemalloc.start()
+    try:
+        roots = _orbit_roots(dst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * N + 64 * 4096
+    assert np.array_equal(roots, table_components(dst))
 
 
 def test_orbit_roots_on_a_real_image_table(monkeypatch):
@@ -576,6 +596,39 @@ def test_orbit_budget_is_checked_before_a_level_is_imaged(monkeypatch):
     assert len(calls) == n_actions
 
 
+def test_orbit_byte_limit_is_checked_before_a_level_is_imaged(monkeypatch):
+    # a limit of the first level's predicted bytes admits that level and
+    # refuses the second, which holds more keys, before any of its images
+    # is computed
+    F = GF(3)
+    A = np.eye(2, dtype=np.int64)
+    n_actions = len(classify_module._group_actions(F, (0, 0))[1])
+    calls = []
+    image = classify_module._image
+    monkeypatch.setattr(classify_module, "_image",
+                        lambda *args: calls.append(args) or image(*args))
+    monkeypatch.setattr(classify_module, "_GROUND_BYTES", 0)
+    knob = re.escape("(change it with ringforge.classify._GROUND_BYTES)")
+    with pytest.raises(BudgetExceededError,
+                       match=rf"orbit closure level \(1 seen keys, {n_actions} images\) "
+                             r"needs about \d+ bytes, over the ground-set limit of 0 "
+                             "bytes " + knob) as err:
+        orbit_of(F, A)
+    assert calls == []
+    first = int(re.search(r"needs about (\d+) bytes", str(err.value)).group(1))
+    monkeypatch.setattr(classify_module, "_GROUND_BYTES", first)
+    with pytest.raises(BudgetExceededError, match="orbit closure level .*" + knob):
+        orbit_of(F, A)
+    assert len(calls) == n_actions
+
+
+def test_s0_is_refused():
+    with pytest.raises(ValueError, match="s must be >= 1, got 0"):
+        orbit_of(GF(3), np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="s must be >= 1, got 0"):
+        classify_module._group_actions(GF(3), ())
+
+
 def test_orbit_of_peak_is_a_few_times_the_member_keys():
     # the orbit is held as keys and imaged in blocks of frontier keys, so
     # no level's decoded images are held whole: 7.2 times the 1.5 MB of
@@ -632,12 +685,30 @@ def test_ground_byte_limit_refuses(p, r, s, t, monkeypatch):
 
 
 def test_ground_byte_limit_admits_congruence(monkeypatch):
-    # GF(47) s = 2 and GF(5) s = 3 were admitted; GF(7) s = 3 peaks at 2.1 GB
-    for p, s in ((47, 2), (5, 3)):
-        need = _predicted_peak(monkeypatch, lambda: classify_congruence(GF(p), s))
+    # GF(7) s = 3 holds a 323 MB image table and a 161 MB parent; GF(8)
+    # s = 3 would hold 1.6 GB
+    for p, r, s in ((47, 1, 2), (5, 1, 3), (7, 1, 3)):
+        need = _predicted_peak(monkeypatch, lambda: classify_congruence(GF(p, r), s))
         assert need <= classify_module._GROUND_BYTES
-    with pytest.raises(BudgetExceededError, match="ground set of 40353607 matrices"):
-        classify_congruence(GF(7), 3)
+    with pytest.raises(BudgetExceededError, match="ground set of 134217728 matrices"):
+        classify_congruence(GF(2, 3), 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: classify_subspaces(GF(5), 3, 1),
+    lambda: classify_subspaces(GF(2), 3, 3),
+    lambda: classify_congruence(GF(2, 2), 3),
+], ids=["GF(5) s=3 t=1", "GF(2) s=3 t=3", "congruence GF(4) s=3"])
+def test_ground_byte_prediction_covers_the_traced_peak(call, monkeypatch):
+    need = _predicted_peak(monkeypatch, call)
+    call()                              # first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
 
 
 def test_enum_limit_error_names_the_knob(monkeypatch):

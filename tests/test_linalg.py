@@ -389,6 +389,13 @@ def test_narrow_codes_match_int64(p, r, monkeypatch):
     assert out.dtype == np.int64 and np.array_equal(out, la.linmap_apply(F, wide, L))
 
 
+def test_encode_decode_round_trip_of_empty_rows():
+    # rows of no entries encode to zero keys and decode back to no entries
+    codes = la.encode_rows(np.zeros((4, 0), dtype=np.int64), 3)
+    assert codes.dtype == np.int64 and codes.tolist() == [0, 0, 0, 0]
+    assert la.decode_codes(codes, 3, 0).shape == (4, 0)
+
+
 def test_encode_is_msf_base_q():
     # first coordinate is the most significant digit
     assert la.encode_rows(np.array([[1, 0, 0]]), 5)[0] == 25
