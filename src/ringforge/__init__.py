@@ -11,7 +11,7 @@ and builds the rings themselves for direct inspection.
 
 from .classify import (BudgetExceededError, ClassReport, OrbitClass,
                        OrbitResult, classify_congruence, classify_subspaces,
-                       orbit_of, resolve_budget)
+                       orbit_of)
 from .counting import (NotCoveredError, Prediction, congruence_class_count,
                        count_s1, count_t_full, gaussian_binomial,
                        predicted_count, symmetric_line_count)
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GF",
     "BudgetExceededError", "ClassReport", "OrbitClass", "OrbitResult",
-    "classify_congruence", "classify_subspaces", "orbit_of", "resolve_budget",
+    "classify_congruence", "classify_subspaces", "orbit_of",
     "NotCoveredError", "Prediction", "congruence_class_count", "count_s1",
     "count_t_full", "gaussian_binomial", "predicted_count",
     "symmetric_line_count",

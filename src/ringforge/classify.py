@@ -22,13 +22,16 @@ is its own ground index, so congruence holds no ground array.  Over
 GF(2) while a key fits int64 (t*s*s <= 62 bits) a basis is t row words
 read off its key instead, a generator acts through a table of the
 images of all 2^(s*s) words, and images are reduced by XOR
-(``linalg._rref_words``); such a table is never larger than the ground
-set's N + 1 codes, or 16 entries, so it needs no limit of its own.
-One orbit alone is closed by ``_orbit_bfs``, which records the action
-and parent of each new key.  ``_group_actions`` is the one action
-builder: the engines and ``orbit_of`` take it at sigma = 0, and
-``rings.iso_test`` at the U twist vector of its first ring, Frobenius
-folded in, reading a transporter (C, e) off the tree path.
+(``linalg._rref_words``).  One orbit alone is closed by ``_orbit_bfs``,
+which records the action and parent of each new key.
+``_group_actions`` is the one action builder: the engines and
+``orbit_of`` take it at sigma = 0, and ``rings.iso_test`` at the U twist
+vector of its first ring, Frobenius folded in, reading a transporter
+(C, e) off the tree path.
+
+Memory is the one limit: a classification (``_check_ground_bytes``)
+or a closure level (``_orbit_bfs``) predicted to peak over
+``_GROUND_BYTES`` is refused before it is built.
 
 No engine scans objects for dead indices, because the compatibility
 flag of a class follows from its representative.  Index i is dead in a
@@ -49,7 +52,6 @@ only matrix with no compatible member.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,32 +63,14 @@ from .matspace import SubspaceKey, subspace_rows
 __all__ = [
     "BudgetExceededError", "OrbitClass", "ClassReport", "OrbitResult",
     "classify_congruence", "classify_subspaces", "orbit_of",
-    "DEFAULT_BUDGET",
 ]
 
-DEFAULT_BUDGET = 10 ** 12
-ENV_BUDGET = "RINGFORGE_BUDGET"
-_GROUND_BYTES = 1 << 30       # bytes; a BFS predicted to peak above this is refused
+_GROUND_BYTES = 1 << 30       # bytes; an engine predicted to peak above this is refused
 _BFS_CHUNK = 1 << 16           # objects per block of a BFS image pass
 
 
 class BudgetExceededError(RuntimeError):
-    pass
-
-
-def resolve_budget(budget=None) -> int:
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get(ENV_BUDGET)
-    return int(env) if env else DEFAULT_BUDGET
-
-
-def _over_budget(what, budget, knobs="budget=, --budget or ") -> BudgetExceededError:
-    # knobs: the caller's own settings of the budget, besides the variable
-    return BudgetExceededError(
-        f"{what}, over the action budget of {budget} "
-        f"(change it with {knobs}{ENV_BUDGET})"
-    )
+    """An orbit computation predicted to peak above ``_GROUND_BYTES``."""
 
 
 def _over_bytes(what, need) -> BudgetExceededError:
@@ -101,24 +85,44 @@ def _key_bytes(q, n) -> int:
     return 8 if n * np.log2(q) <= 62 else 8 + (q ** n).__sizeof__()
 
 
-def _check_ground_bytes(N, what, code_bytes, n_actions, entries, build_bytes) -> None:
-    """Refuse a BFS whose predicted peak is over ``_GROUND_BYTES``.  The
-    BFS holds N codes of ``code_bytes`` (0 when no ground array is kept),
-    then an (N, n_actions) int32 image table and an int32 ``parent``.  Its
-    peak is the largest of three phases:
-    the build of the codes, ``build_bytes`` an object;
-    the union-find: codes, table and parent;
-    the tail, with the table freed: codes, parent and ``np.unique``'s
-    sorted int32 copy and bool mask, 9 bytes an object.
-    The last two add one image block's temporaries, about eight int64
-    copies of each object's ``entries`` digits, since the allocator keeps
-    what imaging freed; a union-find block's gathers and compares, under
-    64 bytes a row, are smaller, and imaging holds less than the
-    union-find."""
-    need = max(N * build_bytes,
-               N * (code_bytes + max(4 * n_actions + 4, 9)) + _BFS_CHUNK * entries * 64)
+def _check_ground_bytes(N, what, code_bytes, build_bytes, work_bytes) -> None:
+    """Refuse a classification of N objects whose predicted peak is over
+    ``_GROUND_BYTES``, before anything is built.  The peak is the larger
+    of two phases: the build of the codes, ``build_bytes`` an object; and
+    the engine's work, with the codes held, ``code_bytes`` an object (0
+    when no ground array is kept), and ``work_bytes`` besides."""
+    need = max(N * build_bytes, N * code_bytes + work_bytes)
     if need > _GROUND_BYTES:
         raise _over_bytes(f"ground set of {N} {what}", need)
+
+
+def _bfs_bytes(N, n_actions, block_bytes) -> int:
+    """Bytes a BFS of N objects holds besides their codes: the larger of
+    the union-find, an (N, n_actions) int32 image table and an int32
+    ``parent``, and the tail, with the table freed, ``parent`` and
+    ``np.unique``'s sorted int32 copy and bool mask, 9 bytes an object.
+    Both add ``block_bytes``: what the engine keeps to image with and one
+    image block's temporaries, which the allocator keeps; a union-find
+    block's are smaller, and imaging holds less than the union-find."""
+    return N * max(4 * n_actions + 4, 9) + block_bytes
+
+
+def _sweep_bytes(F, s, t, N, key_bytes) -> int:
+    """Bytes a sweep of N spaces holds besides their codes: its visited
+    flags, the |GL(s, q)| x s^2 int64 group stack and its lowered
+    |GL| x (m r)^2 tensor, then the larger of ``kron_batch``'s chunk (per
+    element its int64 products, in ``lower`` two int64 multiples and
+    their r digits, 8 m^2 (r + 2) bytes, and its lowered floats) and one
+    orbit's images under one exponent (int64 images, ``rref_batch``'s
+    copy, result and row temporaries, 48 bytes a digit, and the keys of
+    every exponent, concatenated and sorted).  ``gl.enumerate_gl`` holds
+    less than the group stack and the tensor."""
+    G, m, r = gl.gl_order(F.q, s), s * s, F.r
+    item = linalg._lowered_dtype(F, m).itemsize
+    group = G * (8 * m + (m * r) ** 2 * item)
+    kron = min(G, linalg._KRON_CHUNK) * (8 * m * m * (r + 2) + (m * r) ** 2 * item)
+    images = G * (48 * t * m + (r + 3) * key_bytes)
+    return N + group + max(kron, images)
 
 
 @dataclass
@@ -354,16 +358,9 @@ def _keys(F, V, P, twist, spaces):
     return linalg.encode_rows(img.reshape(len(img), -1), F.q)
 
 
-def _check_bfs_budget(N, n_actions, what, budget) -> None:
-    actions = N * n_actions
-    if actions > budget:
-        raise _over_budget(f"{what} BFS needs {actions} actions", budget)
-
-
 # -- congruence orbits of single matrices --
 
-def classify_congruence(F, s: int, symmetric_only: bool = False,
-                        budget=None) -> ClassReport:
+def classify_congruence(F, s: int, symmetric_only: bool = False) -> ClassReport:
     """Partition all s x s matrices over F (or the symmetric ones, which
     congruence keeps symmetric) into congruence classes by generator BFS.
     A matrix is its own key, so images need no reduction."""
@@ -372,19 +369,21 @@ def classify_congruence(F, s: int, symmetric_only: bool = False,
     q, m = F.q, s * s
     N = q ** (s * (s + 1) // 2) if symmetric_only else q ** m
     acts = _group_actions(F, (0,) * s)[1]
-    _check_bfs_budget(N, len(acts), "congruence", resolve_budget(budget))
-    # the symmetric ground is built from an (N, s*s) int64 array of
-    # matrices, its decoded upper triangles and a few int64 columns
-    _check_ground_bytes(N, "matrices", 8 if symmetric_only else 0, len(acts), m,
-                        8 * (m + s * (s + 1) // 2 + 4) if symmetric_only else 0)
+    # a symmetric ground is its keys; the last step of their digit sums
+    # holds them and a q-th as many
+    key_bytes = _key_bytes(q, m) if symmetric_only else 0
+    _check_ground_bytes(N, "matrices", key_bytes, 2 * key_bytes,
+                        _bfs_bytes(N, len(acts), 64 * m * min(N, _BFS_CHUNK)))
 
     ground = None                     # over all matrices a key is its index
     if symmetric_only:
-        upper = [i * s + j for i in range(s) for j in range(i, s)]
-        mirror = [j * s + i for i in range(s) for j in range(i, s)]
-        mats = np.zeros((N, m), dtype=np.int64)
-        mats[:, upper] = mats[:, mirror] = linalg.decode_codes(np.arange(N), q, len(upper))
-        ground = np.sort(linalg.encode_rows(mats, q))
+        # a digit of upper entry (i, j) sets its mirror too; two symmetric
+        # matrices first differ, row-major, at an upper entry, so the keys
+        # follow the upper digits' lexicographic order and ascend
+        w = [q ** k for k in range(m - 1, -1, -1)]          # of entry i*s + j
+        upper = [w[i * s + j] + (j > i) * w[j * s + i]
+                 for i in range(s) for j in range(i, s)]
+        ground = linalg.digit_sums(0, upper, q, np.int64 if key_bytes == 8 else object)
 
     def load(lo, hi):
         keys = np.arange(lo, hi) if ground is None else ground[lo:hi]
@@ -519,7 +518,7 @@ def _packed_bfs_subspaces(F, s, t, use_frobenius, codes):
 
 
 def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
-                       strategy: str = "auto", budget=None) -> ClassReport:
+                       strategy: str = "auto") -> ClassReport:
     """Partition the t-dimensional spaces of s x s matrices over F into
     equivalence classes under congruence twists (and, if use_frobenius,
     field automorphisms applied entrywise).  ``strategy`` "auto" and "bfs"
@@ -535,19 +534,21 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
         raise ValueError(f"unknown strategy {strategy!r}")
     q, n = F.q, t * m
     N = gaussian_binomial(m, t, q)
-    budget = resolve_budget(budget)
-    n_actions = len(_group_actions(F, (0,) * s, use_frobenius)[1])
-    if strategy == "bfs":
-        _check_bfs_budget(N, n_actions, "subspace", budget)
-        engine = _bfs_subspaces
-    else:
-        sweep_actions = gl.gl_order(q, s) * (F.r if use_frobenius else 1) * N
-        if sweep_actions > budget:
-            raise _over_budget(f"subspace sweep needs {sweep_actions} actions", budget)
-        engine = _sweep_subspaces
-    # the build holds the codes twice: its pivot blocks and their concatenation
     code_bytes = _key_bytes(q, n)
-    _check_ground_bytes(N, "subspaces", code_bytes, n_actions, n, 2 * code_bytes)
+    if strategy == "sweep":
+        engine, work = _sweep_subspaces, _sweep_bytes(F, s, t, N, code_bytes)
+    else:
+        n_actions = len(_group_actions(F, (0,) * s, use_frobenius)[1])
+        rows = min(N, _BFS_CHUNK)
+        if q == 2 and code_bytes == 8:
+            # the packed engine images t row words a row, and builds and
+            # keeps one int64 table of all 2^m row words per action
+            block = ((8 * n_actions + 16 * m) << m) + 64 * t * rows
+        else:
+            block = 64 * n * rows
+        engine, work = _bfs_subspaces, _bfs_bytes(N, n_actions, block)
+    # the build holds the codes twice: its pivot blocks and their concatenation
+    _check_ground_bytes(N, "subspaces", code_bytes, 2 * code_bytes, work)
 
     codes = subspace_rows(F, s, t)
     firsts, sizes = map(np.array, zip(*engine(F, s, t, use_frobenius, codes)))
@@ -574,18 +575,17 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
 
 # -- single-orbit closure --
 
-def _orbit_bfs(F, start, acts, spaces, budget, target=None, **knobs):
+def _orbit_bfs(F, start, acts, spaces, target=None):
     """Breadth-first closure of the orbit of one (t, m) block under
     ``acts``, the (P, twist) pairs of ``_group_actions``, of spaces kept in
     RREF if ``spaces``.  Each level's frontier keys are decoded
     ``_BFS_CHUNK`` at a time and imaged by ``_keys`` into one action-major
     key array: image i has action i // len(frontier) and parent
-    i % len(frontier), and the first image of each new key is kept.  The
-    budget and ``_GROUND_BYTES`` are checked before a level is imaged;
-    ``knobs``, if given, goes to the error of ``_over_budget``.  Returns
-    the sorted keys, the block of the least, and the actions of the tree
-    path from ``start`` to the ``target`` key, None if no key is the
-    target.
+    i % len(frontier), and the first image of each new key is kept.  A
+    level's predicted bytes are checked against ``_GROUND_BYTES`` before
+    it is imaged.  Returns the sorted keys, the block of the least, and
+    the actions of the tree path from ``start`` to the ``target`` key,
+    None if no key is the target.
 
     A level of S seen keys and n = (actions x frontier) images peaks at
     S * (2k + 9) + n * (3k + 34) bytes and one block's temporaries, k
@@ -602,7 +602,7 @@ def _orbit_bfs(F, start, acts, spaces, budget, target=None, **knobs):
     start = _canon_rows(F, start[None], t) if spaces else start[None]
     frontier = seen = linalg.encode_rows(start.reshape(1, t * m), F.q)
     sources = []                                # per level: (indices, frontier size)
-    n_actions, path = 0, None
+    path = None
     while len(frontier):
         hit = np.flatnonzero(frontier == target)
         if len(hit):
@@ -613,10 +613,6 @@ def _orbit_bfs(F, start, acts, spaces, budget, target=None, **knobs):
             break
         width = len(frontier)
         images = width * len(acts)
-        n_actions += images
-        if n_actions > budget:
-            raise _over_budget(f"orbit closure reached {n_actions} actions", budget,
-                               **knobs)
         need = (len(seen) * (2 * key_bytes + 9) + images * (3 * key_bytes + 34)
                 + min(width, _BFS_CHUNK) * t * m * 64)
         if need > _GROUND_BYTES:
@@ -636,7 +632,7 @@ def _orbit_bfs(F, start, acts, spaces, budget, target=None, **knobs):
     return seen, decode(seen[:1])[0], path
 
 
-def orbit_of(F, obj, use_frobenius: bool = True, budget=None,
+def orbit_of(F, obj, use_frobenius: bool = True,
              include_members: bool = False) -> OrbitResult:
     """BFS closure (``_orbit_bfs``) of one matrix (congruence action) or
     one subspace (equivalence action, Frobenius included unless disabled)."""
@@ -651,8 +647,7 @@ def orbit_of(F, obj, use_frobenius: bool = True, budget=None,
             raise ValueError(f"matrix is not square: {A.shape}")
         t, start = 1, A.reshape(1, s * s)
     seen, rep, _ = _orbit_bfs(
-        F, start, _group_actions(F, (0,) * s, use_frobenius and subspace)[1],
-        subspace, resolve_budget(budget))
+        F, start, _group_actions(F, (0,) * s, use_frobenius and subspace)[1], subspace)
     return OrbitResult(
         kind="subspace" if subspace else "congruence",
         canonical_rep=SubspaceKey.from_rref(s, t, rep) if subspace else rep.reshape(s, s),

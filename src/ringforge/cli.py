@@ -57,19 +57,14 @@ def _field(args) -> GF:
 
 def _cmd_classify(args) -> int:
     F = _field(args)
-    report = classify_subspaces(
-        F, args.s, args.t,
-        use_frobenius=not args.no_frobenius,
-        budget=args.budget,
-    )
+    report = classify_subspaces(F, args.s, args.t, use_frobenius=not args.no_frobenius)
     _emit(args, report.to_dict(), report.to_csv_rows())
     return 0
 
 
 def _cmd_congruence(args) -> int:
     F = _field(args)
-    report = classify_congruence(F, args.s, symmetric_only=args.symmetric_only,
-                                 budget=args.budget)
+    report = classify_congruence(F, args.s, symmetric_only=args.symmetric_only)
     _emit(args, report.to_dict(), report.to_csv_rows())
     return 0
 
@@ -318,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="space dimension")
     p.add_argument("--no-frobenius", action="store_true",
                    help="congruence twists only, no field automorphisms")
-    p.add_argument("--budget", type=int, default=None,
-                   help="action budget (default RINGFORGE_BUDGET or 10^12)")
     add_format(p)
     p.set_defaults(func=_cmd_classify)
 
@@ -327,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_field(p)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--symmetric-only", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
     add_format(p)
     p.set_defaults(func=_cmd_congruence)
 

@@ -38,7 +38,7 @@ import numpy as np
 __all__ = [
     "mat", "identity", "mat_mul", "rref", "rank",
     "inv_mat", "solve", "lower", "kron_batch",
-    "linmap_apply", "rref_batch", "encode_rows", "decode_codes",
+    "linmap_apply", "rref_batch", "encode_rows", "decode_codes", "digit_sums",
 ]
 
 # group elements lowered per step of kron_batch
@@ -355,3 +355,14 @@ def decode_codes(codes, q: int, m: int, dtype=np.int64) -> np.ndarray:
             out[..., j] = word % q
             word //= q
     return out
+
+
+def digit_sums(base: int, weights, q: int, dtype) -> np.ndarray:
+    """The keys base + sum_k d_k * weights[k] over every digit tuple d in
+    [0, q)^len(weights), in ``dtype``, one weight at a time: the first
+    varies slowest, so the keys follow the tuples' lexicographic order."""
+    keys = np.array([base], dtype=dtype)
+    digits = np.arange(q, dtype=dtype)
+    for w in weights:
+        keys = (keys[:, None] + digits * w).ravel()
+    return keys

@@ -91,7 +91,8 @@ def subspace_rows(F, s: int, t: int) -> np.ndarray:
     it): int64 while t*s*s*log2(q) <= 62, python ints beyond.  Per pivot
     pattern, the key of the bare pivots takes every digit of each free
     entry (right of its row's pivot, off the pivot columns) as a Cartesian
-    sum, the first free entry most significant; no basis is written."""
+    sum (``linalg.digit_sums``), the first free entry most significant; no
+    basis is written."""
     m = s * s
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
@@ -100,15 +101,12 @@ def subspace_rows(F, s: int, t: int) -> np.ndarray:
     q, n = F.q, t * m
     dt = np.int64 if n * np.log2(q) <= 62 else object
     weight = [q ** k for k in range(n - 1, -1, -1)]    # of entry i*m + j
-    digits = np.arange(q).astype(dt)
     blocks = []
     for pivots in combinations(range(m), t):
-        vals = np.array([sum(weight[i * m + c] for i, c in enumerate(pivots))], dtype=dt)
-        for i in range(t):
-            for j in range(pivots[i] + 1, m):
-                if j not in pivots:
-                    vals = (vals[:, None] + digits * weight[i * m + j]).ravel()
-        blocks.append(vals)
+        free = [weight[i * m + j] for i in range(t) for j in range(pivots[i] + 1, m)
+                if j not in pivots]
+        blocks.append(linalg.digit_sums(
+            sum(weight[i * m + c] for i, c in enumerate(pivots)), free, q, dt))
     codes = np.concatenate(blocks)
     codes.sort()
     if len(codes) != gaussian_binomial(m, t, q):

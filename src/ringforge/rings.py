@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .classify import _group_actions, _orbit_bfs, _twist_maps, resolve_budget
+from .classify import _group_actions, _orbit_bfs, _twist_maps
 from .gf import GF
 
 __all__ = [
@@ -615,11 +615,13 @@ def iso_test(specA: RingSpec, specD: RingSpec) -> IsoWitness | None:
     grows the orbit of span(A_1..A_t) under ``classify._group_actions``
     at A's sigma, the sigma-stabilizer with the Frobenius folded in, until
     span(D_1..D_t) appears, so the orbit is closed once for all Frobenius
-    powers.  The witness (e, C) is read off the tree path from (0, I) by
-    the rule of ``_group_actions``, the relabelling is composed in, and B is
-    solved from the image of the Frob_e(A_k).  That image is nonzero only
-    where sigma_i + sigma_j = theta_k, so B keeps theta and the witness is
-    an isomorphism; one that ``verify_witness`` does not certify raises.
+    powers, unless a level predicted over ``classify._GROUND_BYTES``
+    raises first.  The witness (e, C) is read off the tree path from
+    (0, I) by the rule of ``_group_actions``, the relabelling is composed
+    in, and B is solved from the image of the Frob_e(A_k).  That image is
+    nonzero only where sigma_i + sigma_j = theta_k, so B keeps theta and
+    the witness is an isomorphism; one that ``verify_witness`` does not
+    certify raises.
     At s = t = 1 the spans meet at once: sigma 0, C = [[1]], B = [[d/a]].
     """
     ringA, ringD = Ring(specA), Ring(specD)
@@ -640,8 +642,7 @@ def iso_test(specA: RingSpec, specD: RingSpec) -> IsoWitness | None:
     target_R, _ = linalg.rref(F, D_rows)
     target = int(linalg.encode_rows(target_R.reshape(-1), F.q))
     gens, acts = _group_actions(F, ringA.sigma, use_frobenius=True)
-    # iso_test takes its budget from the variable alone
-    _, _, path = _orbit_bfs(F, A_rows, acts, True, resolve_budget(), target, knobs="")
+    _, _, path = _orbit_bfs(F, A_rows, acts, True, target)
     if path is None:
         return None
     e, C = 0, linalg.identity(s)

@@ -15,7 +15,6 @@ from ringforge import (
     congruence_twist,
     gaussian_binomial,
     orbit_of,
-    resolve_budget,
     subspace_key,
     subspace_rows,
     tuple_compatible,
@@ -23,7 +22,7 @@ from ringforge import (
 from ringforge import classify as classify_module
 from ringforge import gl as gl_module
 from ringforge import linalg as la
-from ringforge.classify import DEFAULT_BUDGET, _bfs_orbits, _canon_rows, _orbit_roots
+from ringforge.classify import _bfs_orbits, _canon_rows, _orbit_roots
 from ringforge.gl import enumerate_gl, gl_order
 from ringforge.matspace import dead_indices
 from ringforge.rings import RingSpec, equivalent_spec, iso_test
@@ -98,8 +97,27 @@ def test_congruence_matches_sweep_oracle(p, r, s, symmetric_only, classified):
     assert got == congruence_sweep(GF(p, r), s, symmetric_only)
 
 
-def test_congruence_gf5_s3_within_default_budget():
-    # N actions per generator: 5^9 * 2; the old sweep needed 2.9 * 10^12
+def test_symmetric_ground_is_built_as_keys_alone(monkeypatch):
+    # the ground is its int64 keys, built ascending as digit sums: the
+    # last step holds them and a q-th as many before them; decoding and
+    # re-encoding every matrix peaked at 14 MB here
+    grounds = []
+    monkeypatch.setattr(classify_module, "_bfs_orbits",
+                        lambda N, load, actions, ground: grounds.append(ground) or [])
+    classify_congruence(GF(3), 4, symmetric_only=True)  # first-call caches stay out
+    tracemalloc.start()
+    try:
+        classify_congruence(GF(3), 4, symmetric_only=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    N = 3 ** 10
+    assert len(grounds[-1]) == N and (np.diff(grounds[-1]) > 0).all()
+    assert peak <= 2 * 8 * N
+
+
+def test_congruence_gf5_s3_within_the_byte_limit():
+    # 5^9 matrices and 2 actions: a 31 MB image table
     rep = classify_congruence(GF(5), 3)
     assert rep.class_count == 31 == congruence_class_count(5, 3)
     assert rep.total_objects == 5 ** 9
@@ -248,7 +266,7 @@ def test_complement_duality_keeps_counts_and_orbit_sizes(p, r, s, t, use_frobeni
             == sorted(c.orbit_size for c in large.classes))
 
 
-# -- strategies, budgets --------------------------------------------------
+# -- strategies --------------------------------------------------------
 
 # (2, 3, 2) backs the verify row and the counting note that cite the
 # sweep and the generator BFS for its 15 all-symmetric classes
@@ -368,12 +386,13 @@ def test_auto_runs_bfs_and_checks_budget_first(classified, monkeypatch):
     assert rep.strategy == "bfs"
 
     def no_ground_set(*args, **kwargs):
-        raise AssertionError("ground set built before the budget check")
+        raise AssertionError("ground set built before the byte check")
 
-    # the BFS budget check runs before the 788k-row ground set is built
+    # the byte check runs before the 788k-row ground set is built
     monkeypatch.setattr(classify_module, "subspace_rows", no_ground_set)
-    with pytest.raises(BudgetExceededError, match="subspace BFS needs"):
-        classify_subspaces(GF(2), 3, 3, budget=1)
+    monkeypatch.setattr(classify_module, "_GROUND_BYTES", 0)
+    with pytest.raises(BudgetExceededError, match="ground set of 788035 subspaces"):
+        classify_subspaces(GF(2), 3, 3)
 
 
 def _orbit_record(res):
@@ -554,48 +573,6 @@ def test_unknown_strategy():
         classify_subspaces(GF(2), 2, 1, strategy="guess")
 
 
-def test_budget_enforced():
-    with pytest.raises(BudgetExceededError):
-        classify_subspaces(GF(3), 2, 2, budget=50)
-    with pytest.raises(BudgetExceededError):
-        classify_congruence(GF(3), 2, budget=50)
-    with pytest.raises(BudgetExceededError):
-        orbit_of(GF(3), np.eye(2, dtype=np.int64), budget=2)
-
-
-BUDGET_KNOBS = re.escape("(change it with budget=, --budget or RINGFORGE_BUDGET)")
-
-
-def test_budget_errors_name_the_knobs():
-    with pytest.raises(BudgetExceededError,
-                       match="congruence BFS needs 243 actions, over the action "
-                             "budget of 50 " + BUDGET_KNOBS):
-        classify_congruence(GF(3), 2, budget=50)
-    with pytest.raises(BudgetExceededError,
-                       match="subspace sweep needs .* budget of 50 " + BUDGET_KNOBS):
-        classify_subspaces(GF(3), 2, 2, strategy="sweep", budget=50)
-    with pytest.raises(BudgetExceededError,
-                       match="subspace BFS needs .* budget of 50 " + BUDGET_KNOBS):
-        classify_subspaces(GF(3), 2, 2, strategy="bfs", budget=50)
-    with pytest.raises(BudgetExceededError,
-                       match="orbit closure reached .* budget of 2 " + BUDGET_KNOBS):
-        orbit_of(GF(3), np.eye(2, dtype=np.int64), budget=2)
-
-
-def test_orbit_budget_is_checked_before_a_level_is_imaged(monkeypatch):
-    # the first level images the start once per action, exactly the
-    # budget; the second is refused before any of its images is computed
-    F = GF(3)
-    n_actions = len(classify_module._group_actions(F, (0, 0))[1])
-    calls = []
-    image = classify_module._image
-    monkeypatch.setattr(classify_module, "_image",
-                        lambda *args: calls.append(args) or image(*args))
-    with pytest.raises(BudgetExceededError, match="orbit closure reached"):
-        orbit_of(F, np.eye(2, dtype=np.int64), budget=n_actions)
-    assert len(calls) == n_actions
-
-
 def test_orbit_byte_limit_is_checked_before_a_level_is_imaged(monkeypatch):
     # a limit of the first level's predicted bytes admits that level and
     # refuses the second, which holds more keys, before any of its images
@@ -653,11 +630,24 @@ def test_ground_limit_errors_name_the_knob(monkeypatch):
         classify_congruence(GF(2), 2)
     with pytest.raises(BudgetExceededError, match="ground set of 15 subspaces .*" + knob):
         classify_subspaces(GF(2), 2, 1)
+    with pytest.raises(BudgetExceededError, match="ground set of 15 subspaces .*" + knob):
+        classify_subspaces(GF(2), 2, 1, strategy="sweep")
+
+
+def test_sweep_tensor_is_counted_before_the_group_is_built(monkeypatch):
+    # GL(2, 32) lowered to GF(2) is 1,014,816 x 20 x 20 float32, 1.6 GB;
+    # the refusal comes before any group element is built
+    def no_group(*args, **kwargs):
+        raise AssertionError("group built before the byte check")
+
+    monkeypatch.setattr(gl_module, "enumerate_gl", no_group)
+    with pytest.raises(BudgetExceededError, match="ground set of 33825 subspaces .*_GROUND_BYTES"):
+        classify_subspaces(GF(2, 5), 2, 1, strategy="sweep")
 
 
 def _predicted_peak(monkeypatch, call):
-    """The byte limit's prediction for a BFS, read off the error that a
-    zero limit raises before anything is built."""
+    """The byte limit's prediction for a classification, read off the
+    error that a zero limit raises before anything is built."""
     monkeypatch.setattr(classify_module, "_GROUND_BYTES", 0)
     with pytest.raises(BudgetExceededError, match="needs about") as err:
         call()
@@ -698,7 +688,10 @@ def test_ground_byte_limit_admits_congruence(monkeypatch):
     lambda: classify_subspaces(GF(5), 3, 1),
     lambda: classify_subspaces(GF(2), 3, 3),
     lambda: classify_congruence(GF(2, 2), 3),
-], ids=["GF(5) s=3 t=1", "GF(2) s=3 t=3", "congruence GF(4) s=3"])
+    lambda: classify_congruence(GF(2), 5, symmetric_only=True),
+    lambda: classify_subspaces(GF(3), 3, 1, strategy="sweep"),
+], ids=["GF(5) s=3 t=1", "GF(2) s=3 t=3", "congruence GF(4) s=3",
+        "symmetric congruence GF(2) s=5", "sweep GF(3) s=3 t=1"])
 def test_ground_byte_prediction_covers_the_traced_peak(call, monkeypatch):
     need = _predicted_peak(monkeypatch, call)
     call()                              # first-call caches stay out of the peak
@@ -717,15 +710,6 @@ def test_enum_limit_error_names_the_knob(monkeypatch):
     with pytest.raises(ValueError, match="GL\\(3, 2\\) has 168 elements, over the "
                                          "enumeration " + knob):
         enumerate_gl(GF(2), 3)
-
-
-def test_budget_resolution(monkeypatch):
-    monkeypatch.delenv("RINGFORGE_BUDGET", raising=False)
-    assert resolve_budget() == DEFAULT_BUDGET
-    assert resolve_budget(77) == 77
-    monkeypatch.setenv("RINGFORGE_BUDGET", "123456")
-    assert resolve_budget() == 123456
-    assert resolve_budget(9) == 9  # explicit argument wins
 
 
 # -- Frobenius twists over GF(4) -------------------------------------------

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ringforge import GF, RingSpec, equivalent_spec
+from ringforge import GF, RingSpec, classify, equivalent_spec
 from ringforge.cli import main
 
 from conftest import prime_spec
@@ -51,11 +51,19 @@ def test_classify_no_frobenius(capsys):
     assert json.loads(without)["class_count"] == 7
 
 
-def test_classify_budget_exit_code(capsys):
-    code, _, err = run_cli(capsys, "classify", "--p", "3", "--s", "2", "--t", "2",
-                           "--budget", "10")
-    assert code == 2
-    assert "error:" in err
+def test_classify_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(classify, "_GROUND_BYTES", 10)
+    for argv in (["classify", "--t", "2"], ["congruence"]):
+        code, out, err = run_cli(capsys, *argv, "--p", "3", "--s", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ground set of ")
+        assert err.rstrip().endswith("(change it with ringforge.classify._GROUND_BYTES)")
+    # memory is the one limit: there is no action budget to set
+    for argv in (["classify", "--t", "2"], ["congruence"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--p", "3", "--s", "2", "--budget", "10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budget 10" in capsys.readouterr().err
 
 
 def test_congruence_command(capsys):
@@ -148,14 +156,15 @@ def test_iso_twisted_witness_off_the_fixed_subfield(capsys, tmp_path):
 
 
 def test_iso_budget_error_names_only_the_variable(capsys, tmp_path, monkeypatch):
-    # ringforge iso has no --budget and iso_test no budget=
-    monkeypatch.setenv("RINGFORGE_BUDGET", "1")
+    # the one limit on the search is classify._GROUND_BYTES; ringforge iso
+    # has no flag for it
+    monkeypatch.setattr(classify, "_GROUND_BYTES", 0)
     left = write_spec(tmp_path, "a.json", prime_spec(3, [[[1, 0], [0, 0]]]))
     right = write_spec(tmp_path, "d.json", prime_spec(3, [[[0, 0], [0, 1]]]))
     code, out, err = run_cli(capsys, "iso", "--left", left, "--right", right)
     assert code == 2 and out == ""
-    assert err.startswith("error: orbit closure reached")
-    assert err.rstrip().endswith("(change it with RINGFORGE_BUDGET)")
+    assert err.startswith("error: orbit closure level")
+    assert err.rstrip().endswith("(change it with ringforge.classify._GROUND_BYTES)")
 
 
 def test_iso_distinct_classes(capsys, tmp_path):

@@ -39,10 +39,16 @@ def test_knobs_named_in_errors_exist():
     for path in sorted(SRC.glob("*.py")):
         named.update(re.findall(r"change it with ringforge\.(\w+)\.(\w+)",
                                 path.read_text()))
-    assert len(named) >= 4
+    # one limit per resource; adding or dropping one is a declared change
+    assert named == {("classify", "_GROUND_BYTES"), ("gl", "ENUM_LIMIT"),
+                     ("rings", "_TABLE_LIMIT"), ("rings", "_EXHAUSTIVE_TRIPLES")}
     for module, attr in sorted(named):
         assert hasattr(importlib.import_module(f"ringforge.{module}"), attr), \
             f"ringforge.{module}.{attr}"
+    # and no limit is read from the environment
+    readers = [p.name for p in sorted(SRC.glob("*.py"))
+               if re.search(r"\benviron\b|\bgetenv\b", p.read_text())]
+    assert readers == []
 
 
 # numpy is the only dependency; importing scipy cost most of the set-up
