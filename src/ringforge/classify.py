@@ -7,8 +7,10 @@ field automorphism twist optional).  Both run one engine, generator BFS:
 every object of the ground set is moved by each action of
 ``_group_actions``, one per generator of ``gl.gl_generators`` (two for
 s >= 3), with the Frobenius folded into the shift Z (or, at s = 1,
-added as one more).  The orbits are the connected components of the resulting graph,
-found by a numpy union-find over its image table (``_orbit_roots``).  A
+added as one more).  Every action is one lowered Z_p map, the Frobenius
+composed into it, applied by one ``linalg.linmap_apply``.  The orbits
+are the connected components of the resulting graph, found by a numpy
+union-find over its image table (``_orbit_roots``).  A
 subspace sweep, the full-group image of each undiscovered orbit,
 remains as the explicit ``strategy="sweep"``.  Everything is
 deterministic: objects are held in ascending key order and every orbit
@@ -83,6 +85,19 @@ def _key_bytes(q, n) -> int:
     """Bytes of a key of n digits: int64, or beyond 62 bits an object
     pointer and the python int behind it."""
     return 8 if n * np.log2(q) <= 62 else 8 + (q ** n).__sizeof__()
+
+
+def _block_bytes(rows, n) -> int:
+    """Bytes an image block of ``rows`` objects of n digits holds while
+    ``_keys`` images it under one action: the decoded block,
+    ``linmap_apply``'s int64 images and float temporaries, for spaces
+    ``rref_batch``'s copy and row temporaries, and the keys.  Measured by
+    tracemalloc on blocks of 20,000 to 65,536 objects: 18-24 bytes a
+    digit for congruence, 19-30 for spaces over prime fields and up to
+    43 for spaces over GF(8) to GF(32), with the Frobenius.  Smaller
+    blocks hold more a digit, as ``linmap_apply``'s float temporaries
+    cover up to ``linalg._APPLY_BLOCK`` rows, but under 2 MB in all."""
+    return 48 * rows * n
 
 
 def _check_ground_bytes(N, what, code_bytes, build_bytes, work_bytes) -> None:
@@ -296,8 +311,13 @@ def _group_actions(F, sigma, use_frobenius=False):
     product of GL(s_x, F) over the U coordinates of each exponent x of
     sigma ((0,) * s, one block, for the classifier), generated by the
     ``gl.gl_generators`` of each block embedded in the identity.  Action
-    i is a (P, twist) pair: P is the ``_twist_maps`` map of gens[i] or
-    None, and twist says the entrywise Frobenius phi comes first.
+    i is an (L, twist) pair: L is the lowered map of the whole action,
+    and twist says the entrywise Frobenius phi comes first.  L is the
+    ``_twist_maps`` map L_g of gens[i], or for a twisted action
+    kron(I, Phi) @ L_g reduced mod p, Phi the Z_p matrix of phi on one
+    entry (row i the digits of phi(x^i)).  Each entry of that product
+    sums r products of digits, so it is exact in L_g's dtype, and it
+    is reduced below p, so ``_lowered_dtype``'s bound still holds.
 
     With the twist on and r > 1 the group is G = prod_x GL(s_x, F) x|
     <phi>.  The shift Z_1 of the first block of two or more coordinates
@@ -314,8 +334,8 @@ def _group_actions(F, sigma, use_frobenius=False):
     by Z_1 phi give every x_(i,i+1)(a), these generate SL(s_1, F), and
     with the diagonal GL(s_1, F).  So Z_1 is in H, and so is
     phi = Z_1^-1 (Z_1 phi); the other blocks keep their own generators.
-    When every block has one coordinate, phi is one more action,
-    (None, True), whose entry in gens is the identity.
+    When every block has one coordinate, phi is one more action, whose
+    entry in gens is the identity and whose map is kron(I, Phi).
 
     On pairs (C, e), the map A -> twist_C(Frob_e(A)), a twisted action
     with generator g gives (Frob(C) g, e + 1) and any other (C g, e),
@@ -333,27 +353,28 @@ def _group_actions(F, sigma, use_frobenius=False):
             gens.append(G)
             twists.append(fold and i == 1)    # generator 1 is the block's Z
             fold = fold and i != 1
-    actions = list(zip(_twist_maps(F, np.array(gens), sigma), twists))
     if fold:
         gens.append(linalg.identity(len(sig)))
-        actions.append((None, True))
+        twists.append(True)
+    # digits(phi(v)) = digits(v) @ Phi entry by entry, so "phi, then L"
+    # is kron(I, Phi) @ L: Phi times each block of r rows of L
+    Phi = F._digits[F._frob_raw(F._pows, 1)]
+    actions = []
+    for L, twist in zip(_twist_maps(F, np.array(gens), sigma), twists):
+        if twist:
+            PL = Phi @ L.reshape(-1, F.r, L.shape[1]) % F.p
+            L = PL.reshape(L.shape).astype(L.dtype)
+        actions.append((L, twist))
     return np.array(gens), actions
 
 
-def _image(F, V, P, twist):
-    """V under one action of ``_group_actions``: the entrywise Frobenius if
-    ``twist``, then the map P unless it is None."""
-    if twist:
-        V = F._frob_raw(V, 1)
-    return V if P is None else linalg.linmap_apply(F, V, P)
-
-
-def _keys(F, V, P, twist, spaces):
-    """Keys of the images of a block V (B, t, m) under one action: its
-    ``_image``, brought back to RREF by ``_canon_rows`` when the objects
-    are spaces and P moves them (the Frobenius alone keeps RREF)."""
-    img = _image(F, V, P, twist)
-    if spaces and P is not None:
+def _keys(F, V, L, spaces):
+    """Keys of the images of a block V (B, t, m) under one lowered map L of
+    ``_group_actions``, brought back to RREF by ``_canon_rows`` when the
+    objects are spaces (an RREF, such as the Frobenius image of one, is
+    its own RREF)."""
+    img = linalg.linmap_apply(F, V, L)
+    if spaces:
         img = _canon_rows(F, img, V.shape[1])
     return linalg.encode_rows(img.reshape(len(img), -1), F.q)
 
@@ -373,7 +394,7 @@ def classify_congruence(F, s: int, symmetric_only: bool = False) -> ClassReport:
     # holds them and a q-th as many
     key_bytes = _key_bytes(q, m) if symmetric_only else 0
     _check_ground_bytes(N, "matrices", key_bytes, 2 * key_bytes,
-                        _bfs_bytes(N, len(acts), 64 * m * min(N, _BFS_CHUNK)))
+                        _bfs_bytes(N, len(acts), _block_bytes(min(N, _BFS_CHUNK), m)))
 
     ground = None                     # over all matrices a key is its index
     if symmetric_only:
@@ -389,7 +410,7 @@ def classify_congruence(F, s: int, symmetric_only: bool = False) -> ClassReport:
         keys = np.arange(lo, hi) if ground is None else ground[lo:hi]
         return linalg.decode_codes(keys, q, m).reshape(-1, 1, m)
 
-    actions = [lambda V, P=P: _keys(F, V, P, False, False) for P, _ in acts]
+    actions = [lambda V, L=L: _keys(F, V, L, False) for L, _ in acts]
     classes = []
     for idx, size in _bfs_orbits(N, load, actions, ground):
         rep = load(idx, idx + 1).reshape(s, s)
@@ -480,8 +501,8 @@ def _dense_bfs_subspaces(F, s, t, use_frobenius, codes):
         V = linalg.decode_codes(codes[lo:hi], q, t * m, np.min_scalar_type(q - 1))
         return V.reshape(-1, t, m)
 
-    actions = [lambda V, P=P, twist=twist: _keys(F, V, P, twist, True)
-               for P, twist in _group_actions(F, (0,) * s, use_frobenius)[1]]
+    actions = [lambda V, L=L: _keys(F, V, L, True)
+               for L, _ in _group_actions(F, (0,) * s, use_frobenius)[1]]
     return _bfs_orbits(len(codes), load, actions, codes)
 
 
@@ -502,8 +523,8 @@ def _packed_bfs_subspaces(F, s, t, use_frobenius, codes):
     low = (1 << m) - 1
     shifts = m * np.arange(t - 1, -1, -1)
     every_row = linalg.decode_codes(np.arange(1 << m), 2, m, np.uint8)
-    tables = [linalg.encode_rows(linalg.linmap_apply(F, every_row, P), 2)
-              for P, _ in _group_actions(F, (0,) * s)[1]]
+    tables = [linalg.encode_rows(linalg.linmap_apply(F, every_row, L), 2)
+              for L, _ in _group_actions(F, (0,) * s)[1]]
 
     def load(lo, hi):
         return (codes[lo:hi, None] >> shifts) & low
@@ -545,7 +566,7 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
             # keeps one int64 table of all 2^m row words per action
             block = ((8 * n_actions + 16 * m) << m) + 64 * t * rows
         else:
-            block = 64 * n * rows
+            block = _block_bytes(rows, n)
         engine, work = _bfs_subspaces, _bfs_bytes(N, n_actions, block)
     # the build holds the codes twice: its pivot blocks and their concatenation
     _check_ground_bytes(N, "subspaces", code_bytes, 2 * code_bytes, work)
@@ -577,7 +598,7 @@ def classify_subspaces(F, s: int, t: int, use_frobenius: bool = True,
 
 def _orbit_bfs(F, start, acts, spaces, target=None):
     """Breadth-first closure of the orbit of one (t, m) block under
-    ``acts``, the (P, twist) pairs of ``_group_actions``, of spaces kept in
+    ``acts``, the (L, twist) pairs of ``_group_actions``, of spaces kept in
     RREF if ``spaces``.  Each level's frontier keys are decoded
     ``_BFS_CHUNK`` at a time and imaged by ``_keys`` into one action-major
     key array: image i has action i // len(frontier) and parent
@@ -588,7 +609,7 @@ def _orbit_bfs(F, start, acts, spaces, target=None):
     None if no key is the target.
 
     A level of S seen keys and n = (actions x frontier) images peaks at
-    S * (2k + 9) + n * (3k + 34) bytes and one block's temporaries, k
+    S * (2k + 9) + n * (3k + 34) bytes and one block's ``_block_bytes``, k
     bytes a key (``_key_bytes``): the seen keys, their 8-byte first
     indices in ``sources``, and ``np.insert``'s copy and mask of them; the
     key array, and ``np.unique``'s sorted copy, int64 order, mask and
@@ -614,15 +635,15 @@ def _orbit_bfs(F, start, acts, spaces, target=None):
         width = len(frontier)
         images = width * len(acts)
         need = (len(seen) * (2 * key_bytes + 9) + images * (3 * key_bytes + 34)
-                + min(width, _BFS_CHUNK) * t * m * 64)
+                + _block_bytes(min(width, _BFS_CHUNK), t * m))
         if need > _GROUND_BYTES:
             raise _over_bytes(f"orbit closure level ({len(seen)} seen keys, "
                               f"{images} images)", need)
         keys = np.empty((len(acts), width), dtype=seen.dtype)
         for lo in range(0, width, _BFS_CHUNK):
             V = decode(frontier[lo:lo + _BFS_CHUNK])
-            for a, (P, twist) in enumerate(acts):
-                keys[a, lo:lo + len(V)] = _keys(F, V, P, twist, spaces)
+            for a, (L, _) in enumerate(acts):
+                keys[a, lo:lo + len(V)] = _keys(F, V, L, spaces)
         keys, first = np.unique(keys.ravel(), return_index=True)
         pos = np.searchsorted(seen, keys)
         fresh = seen[np.minimum(pos, len(seen) - 1)] != keys

@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from .gf import _prime_factors, is_prime
+
 __all__ = [
     "NotCoveredError", "Prediction", "gaussian_binomial", "count_s1",
     "count_t_full", "congruence_class_count", "symmetric_line_count",
@@ -52,17 +54,12 @@ def count_t_full(r: int, s: int, lam: int) -> int:
 def _prime_power(q: int):
     if q < 2:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
-    p = q
-    for d in range(2, int(q ** 0.5) + 1):
-        if q % d == 0:
-            p = d
-            break
-    n, k = q, 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    if n != 1:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise ValueError(f"q must be a prime power, got {q}")
+    p, k = primes[0], 1
+    while p ** k != q:
+        k += 1
     return p, k
 
 
@@ -143,8 +140,6 @@ def predicted_count(p: int, r: int, s: int, t: int, lam: int = 0) -> Prediction:
     The value does not depend on lam when r = 1: the extra annihilator
     coordinates carry only identity automorphisms there.
     """
-    from .gf import is_prime
-
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if lam < 0:

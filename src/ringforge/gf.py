@@ -7,11 +7,17 @@ numpy code path on one set of precomputed tables: an int result when every
 operand is an int (python or numpy), a new int64 array otherwise.  Fields
 are immutable and safe to share.
 
-The tables come in three regimes: prime fields compute mod p; extension
-fields up to q = 1024 gather from full q x q tables; larger ones use
-log/exp and digit ops.  In characteristic 2 the digit-wise sum of two
-codes is their XOR, so p = 2 adds (and subtracts) by XOR in every regime
-and builds no q x q addition table.
+Every field is built by one table build.  Its one multiplication is
+M(c), the r x r matrix over Z_p of multiplication by c, whose row i holds
+the digits of c*x^i: the generator search raises M(a) to powers mod p
+and reads the digits of a^e off row 0, the exp table is doubled by
+M(g^n), and the log, inverse, negation and Frobenius tables follow from
+it, the Frobenius phi(a) = g^(p log a) composed with itself for each
+power.  The operations come in three regimes: prime fields compute mod
+p; extension fields up to q = 1024 gather from full q x q tables; larger
+ones use log/exp and digit ops.  In characteristic 2 the digit-wise sum
+of two codes is their XOR, so p = 2 adds (and subtracts) by XOR in every
+regime and builds no q x q addition table.
 
 The q x q tables are symmetric and kept with a flat view: two arrays
 gather at a*q + b, the index computed in int64 whatever the operands'
@@ -36,33 +42,26 @@ _FULL_TABLE_Q = 1024
 _Q_LIMIT = 1 << 16
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
+def _prime_factors(n):
+    """The distinct primes dividing n, ascending, by trial division; [] for
+    n < 2."""
+    out, d = [], 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    if n > 1:
+        out.append(n)
+    return out
 
 
-# polynomial helpers on ascending coefficient lists over Z_p
-
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def is_prime(n: int) -> bool:
+    return _prime_factors(n) == [n]
 
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
+# polynomial remainder on ascending coefficient lists over Z_p
 
 def _poly_mod(a, m, p):
     # m is monic
@@ -87,10 +86,7 @@ def _is_irreducible(coeffs, p):
     for d in range(1, r // 2 + 1):
         for tail in product(range(p), repeat=d):
             div = list(tail) + [1]
-            rem = _poly_mod(coeffs, div, p)
-            # remainder of coeffs modulo the candidate divisor
-            rem = _poly_trim(rem)
-            if not rem:
+            if not any(_poly_mod(coeffs, div, p)):
                 return False
     return True
 
@@ -103,19 +99,6 @@ def _default_modulus(p, r):
         if _is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-def _prime_factors(n):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _least_generator(q, power):
@@ -189,22 +172,19 @@ class GF:
 
     # -- construction of the arithmetic tables --
 
-    def _code_mul(self, a, b):
-        # polynomial multiplication used only while bootstrapping tables
-        p = self.p
-        pa = [(a // p ** i) % p for i in range(self.r)]
-        pb = [(b // p ** i) % p for i in range(self.r)]
-        prod = _poly_mod(_poly_mul(pa, pb, p), list(self.modulus), p)
-        return sum(c * p ** i for i, c in enumerate(prod))
-
     def _code_pow(self, a, e):
-        out = 1
+        """a^e for one code a while bootstrapping the tables: the digits of
+        a^e are row 0 of M(a)^e, here the digits of 1 times M(a) e times,
+        by square and multiply mod p."""
+        p = self.p
+        M = self._mul_matrices(a)
+        row = self._digits[1]
         while e:
             if e & 1:
-                out = self._code_mul(out, a)
-            a = self._code_mul(a, a)
+                row = row @ M % p
+            M = M @ M % p
             e >>= 1
-        return out
+        return int(row @ self._pows)
 
     def _mul_matrices(self, c):
         """Multiplication by each code in c as an r x r matrix over Z_p.
@@ -230,47 +210,36 @@ class GF:
         self._pows = p ** np.arange(r, dtype=np.int64)
         self._digits = (np.arange(q)[:, None] // self._pows) % p
         self._x_r = np.array(self.modulus[:r], dtype=np.int64)
-        if r == 1:
-            self._gen = _least_generator(q, lambda g, e: pow(g, e, p))
-            self._exp = self._log = None
-            inv = [0] * q
-            for a in range(1, q):
-                inv[a] = pow(a, p - 2, p)
-            self._inv = np.array(inv, dtype=np.int64)
-            self._neg = (-np.arange(q)) % p
-            self._frob = None
-        else:
-            gen = _least_generator(q, self._code_pow)
-            self._gen = gen
-            # exp[n:n+k] = exp[:k] * g^n, doubling n; M is M(g^n).  Two
-            # periods of g^n, then a zero tail that log 0 points into:
-            # log a + log b lands in the tail when a or b is 0
-            exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
-            exp[0] = 1
-            M = self._mul_matrices(gen)
-            n = 1
-            while n < q - 1:
-                k = min(n, q - 1 - n)
-                exp[n:n + k] = (self._digits[exp[:k]] @ M % p) @ self._pows
-                M = M @ M % p
-                n += k
-            exp[q - 1:2 * (q - 1)] = exp[: q - 1]
-            log = np.full(q, 2 * (q - 1), dtype=np.int64)
-            log[exp[: q - 1]] = np.arange(q - 1)
-            self._exp, self._log = exp, log
-            inv = np.zeros(q, dtype=np.int64)
-            inv[1:] = exp[(q - 1 - log[1:]) % (q - 1)]
-            self._inv = inv
-            self._neg = ((-self._digits) % p) @ self._pows
-            frob = np.zeros((r, q), dtype=np.int64)
-            frob[0] = np.arange(q)
-            for e in range(1, r):
-                prev = frob[e - 1]
-                nxt = np.zeros(q, dtype=np.int64)
-                nz = prev != 0
-                nxt[nz] = exp[(log[prev[nz]] * p) % (q - 1)]
-                frob[e] = nxt
-            self._frob = frob
+        gen = _least_generator(q, self._code_pow)
+        self._gen = gen
+        # exp[n:n+k] = exp[:k] * g^n, doubling n; M is M(g^n).  Two
+        # periods of g^n, then a zero tail that log 0 points into:
+        # log a + log b lands in the tail when a or b is 0
+        exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+        exp[0] = 1
+        M = self._mul_matrices(gen)
+        n = 1
+        while n < q - 1:
+            k = min(n, q - 1 - n)
+            exp[n:n + k] = (self._digits[exp[:k]] @ M % p) @ self._pows
+            M = M @ M % p
+            n += k
+        exp[q - 1:2 * (q - 1)] = exp[: q - 1]
+        log = np.full(q, 2 * (q - 1), dtype=np.int64)
+        log[exp[: q - 1]] = np.arange(q - 1)
+        self._exp, self._log = exp, log
+        inv = np.zeros(q, dtype=np.int64)
+        inv[1:] = exp[(q - 1 - log[1:]) % (q - 1)]
+        self._inv = inv
+        self._neg = ((-self._digits) % p) @ self._pows
+        # phi(a) = g^(p log a), 0 fixed; frob[e] = phi applied e times
+        phi = exp[log * p % (q - 1)]
+        phi[0] = 0
+        frob = np.empty((r, q), dtype=np.int64)
+        frob[0] = np.arange(q)
+        for e in range(1, r):
+            frob[e] = phi[frob[e - 1]]
+        self._frob = frob
         self._add_t = self._mul_t = None
         if r > 1 and q <= _FULL_TABLE_Q:
             if p > 2:

@@ -10,7 +10,8 @@ entry c of an (m, m2) matrix by the r x r matrix of multiplication by c,
 whose row i holds the digits of c*x^i, giving an (m*r, m2*r) matrix over
 Z_p.  ``kron_batch`` returns kron(C, D) in this form and
 ``linmap_apply`` applies it to the digit vectors of GF codes as a float
-matmul (BLAS) reduced mod p, the same code for every field.  A lowered
+matmul (BLAS) reduced mod p, the same code for every field; ``mat_mul``
+is a lowered right factor applied to the rows of the left.  A lowered
 map is stored in float32 while a dot product's bound m*r*(p-1)^2 is
 below 2^24, in float64 below 2^53 (``_lowered_dtype``), so every sum of
 integer terms is exact; numpy's integer matmul does not use BLAS.
@@ -60,14 +61,13 @@ def identity(s: int) -> np.ndarray:
 
 
 def mat_mul(F, A, B) -> np.ndarray:
+    """A @ B over F for a matrix B (k, n) and a stack A (..., k): B is
+    lowered and applied to the rows of A, ``linmap_apply(F, A, lower(F, B))``."""
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     if A.shape[-1] != B.shape[0]:
         raise ValueError(f"shape mismatch {A.shape} x {B.shape}")
-    out = np.zeros(A.shape[:-1] + B.shape[1:], dtype=np.int64)
-    for k in range(A.shape[-1]):
-        out = F._add_raw(out, F._mul_raw(A[..., k, None], B[k, ...][None, :]))
-    return out
+    return linmap_apply(F, A, lower(F, B))
 
 
 def rref(F, M):

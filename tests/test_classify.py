@@ -307,23 +307,31 @@ def test_sweep_and_bfs_agree_with_frobenius(p, r, s, t):
 ])
 def test_group_actions_fold_the_frobenius_into_the_shift(p, r, s, use_frobenius, shape):
     # shape: per action, whether the Frobenius comes first, None for the
-    # Frobenius alone
+    # Frobenius alone, whose generator is the identity and whose map is
+    # kron(I, Phi), Phi the matrix of phi on the digits of one entry
     F = GF(p, r)
     sigma = (0,) * s if isinstance(s, int) else s
     n = len(sigma)
     gens, acts = classify_module._group_actions(F, sigma, use_frobenius)
-    assert [None if P is None else twist for P, twist in acts] == shape
+    alone = [twist and np.array_equal(g, la.identity(n)) for g, (_, twist) in zip(gens, acts)]
+    assert [None if a else twist for a, (_, twist) in zip(alone, acts)] == shape
     assert len(gens) == len(acts)
+    Phi = np.array([F.element_digits(F.frobenius(p ** i)) for i in range(r)])
+    frob_map = np.kron(np.eye(n * n, dtype=np.int64), Phi)
+    for a, (L, _) in zip(alone, acts):
+        assert L.dtype == la._lowered_dtype(F, n * n)
+        assert not a or np.array_equal(L, frob_map)
     if not any(sigma):
         maps = la.kron_batch(F, gens, gens)
-        assert all(P is None or np.array_equal(P, L) for (P, _), L in zip(acts, maps))
+        assert all(np.array_equal(L, frob_map @ M % p if twist else M)
+                   for (L, twist), M in zip(acts, maps))
     # action i is A -> sum_x g_i^T P_x phi(A) Frob_x(g_i), phi only when
     # twisted, P_x keeping the rows i with sigma_i = x
     rng = np.random.default_rng(p + r + n)
     A = rng.integers(0, F.q, size=(5, 1, n * n))
     rows_of = {x: (np.asarray(sigma) == x)[:, None] for x in set(sigma)}
-    for g, (P, twist) in zip(gens, acts):
-        img = classify_module._image(F, A, P, twist)
+    for g, (L, twist) in zip(gens, acts):
+        img = la.linmap_apply(F, A, L)
         want = []
         for M in A.reshape(5, n, n):
             M = F.frobenius(M) if twist else M
@@ -581,9 +589,9 @@ def test_orbit_byte_limit_is_checked_before_a_level_is_imaged(monkeypatch):
     A = np.eye(2, dtype=np.int64)
     n_actions = len(classify_module._group_actions(F, (0, 0))[1])
     calls = []
-    image = classify_module._image
-    monkeypatch.setattr(classify_module, "_image",
-                        lambda *args: calls.append(args) or image(*args))
+    keys = classify_module._keys
+    monkeypatch.setattr(classify_module, "_keys",
+                        lambda *args: calls.append(args) or keys(*args))
     monkeypatch.setattr(classify_module, "_GROUND_BYTES", 0)
     knob = re.escape("(change it with ringforge.classify._GROUND_BYTES)")
     with pytest.raises(BudgetExceededError,

@@ -368,9 +368,13 @@ def test_multiplicative_generator(F):
 # every GF(p^r) with r > 1 and q <= 1024
 TABLE_FIELDS = [(p, r) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
                 for r in range(2, 11) if p ** r <= 1024]
+# every field is built by the same code: prime fields, and two past the
+# full tables
+BUILT_FIELDS = TABLE_FIELDS + [(p, 1) for p in range(2, 258)
+                               if all(p % d for d in range(2, p))] + [(2, 11), (3, 7)]
 
 
-@pytest.mark.parametrize("p,r", TABLE_FIELDS, ids=lambda v: str(v))
+@pytest.mark.parametrize("p,r", BUILT_FIELDS, ids=lambda v: str(v))
 def test_field_tables_match_naive(p, r):
     F = GF(p, r)
     q = F.q
@@ -382,11 +386,19 @@ def test_field_tables_match_naive(p, r):
     assert F._exp[tail:].tolist() == [0] * (tail + 1)
     assert F._log[powers].tolist() == list(range(q - 1))
     assert F._log[0] == tail
+    # frob[e] is a -> a^(p^e), which is g^(k p^e) for a = g^k, 0 fixed
+    assert F._frob.shape == (r, q)
+    for e in range(r):
+        want = [0] * q
+        for k, a in enumerate(powers):
+            want[a] = powers[k * p ** e % (q - 1)]
+        assert F._frob[e].tolist() == want
     # addition against digit-wise addition, one row at a time: the table
-    # gather for p > 2, the XOR for p = 2, which builds no table
+    # gather for p > 2 and q <= 1024, the XOR for p = 2, which builds no
+    # table, mod p for prime fields and digit sums past the tables
     pows = [p ** i for i in range(r)]
     digits = np.array([[(a // w) % p for w in pows] for a in range(q)])
-    assert (F._add_t is None) == (p == 2)
+    assert (F._add_t is None) == (p == 2 or r == 1 or q > 1024)
     for a in range(q):
         row = ((digits[a] + digits) % p) @ np.array(pows)
         assert F._add_raw(a, np.arange(q)).tolist() == row.tolist()

@@ -181,6 +181,21 @@ def test_inverse_round_trip(q, r):
         assert np.array_equal(la.mat_mul(F, la.inv_mat(F, A), A), I)
 
 
+# a prime field, a table field and a log/exp field (q > 1024)
+@pytest.mark.parametrize("p,r", [(7, 1), (3, 2), (2, 11)])
+def test_mat_mul_matches_table_oracle(p, r):
+    F = GF(p, r)
+    rng = np.random.default_rng(p + r)
+    A = rng.integers(0, F.q, size=(3, 4, 5), dtype=np.int64)
+    B = rng.integers(0, F.q, size=(5, 2), dtype=np.int64)
+    got = la.mat_mul(F, A, B)
+    assert got.shape == (3, 4, 2)
+    for a, g in zip(A, got):
+        assert np.array_equal(g, gf_table_matmul(F, a, B))
+    with pytest.raises(ValueError, match=r"shape mismatch \(3, 4, 5\) x \(4, 2\)"):
+        la.mat_mul(F, A, B[:4])
+
+
 def test_singular_rejected():
     F = GF(3)
     with pytest.raises(ValueError, match="singular"):
