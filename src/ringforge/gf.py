@@ -5,19 +5,23 @@ so the codes 0..q-1 enumerate the field and double as table indices.  All
 operations accept either plain ints or numpy arrays of codes and run one
 numpy code path on one set of precomputed tables: an int result when every
 operand is an int (python or numpy), a new int64 array otherwise.  Fields
-are immutable and safe to share.
+are immutable and safe to share: what is built on first use, a Frobenius
+row or the squares, is a pure function of the field.
 
 Every field is built by one table build.  Its one multiplication is
 M(c), the r x r matrix over Z_p of multiplication by c, whose row i holds
 the digits of c*x^i: the generator search raises M(a) to powers mod p
 and reads the digits of a^e off row 0, the exp table is doubled by
-M(g^n), and the log, inverse, negation and Frobenius tables follow from
-it, the Frobenius phi(a) = g^(p log a) composed with itself for each
-power.  The operations come in three regimes: prime fields compute mod
-p; extension fields up to q = 1024 gather from full q x q tables; larger
-ones use log/exp and digit ops.  In characteristic 2 the digit-wise sum
-of two codes is their XOR, so p = 2 adds (and subtracts) by XOR in every
-regime and builds no q x q addition table.
+``linalg.linmap_apply`` of M(g^n), and the log, inverse and negation
+tables follow from it (-a = a*g^((q-1)/2), a itself for p = 2), as does
+the row of each Frobenius power used, a^(p^e) = g^(p^e log a).  Digits
+are held in the narrowest dtype holding p - 1, so readers widen them
+before adding; every other table is int64.  The operations come in three
+regimes: prime fields compute mod p; extension fields up to q = 1024
+gather from full q x q tables; larger ones use log/exp and digit ops.  In
+characteristic 2 the digit-wise sum of two codes is their XOR, so p = 2
+adds (and subtracts) by XOR in every regime and builds no q x q addition
+table.
 
 The q x q tables are symmetric and kept with a flat view: two arrays
 gather at a*q + b, the index computed in int64 whatever the operands'
@@ -32,6 +36,8 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
+
+from . import linalg
 
 __all__ = ["GF", "is_prime"]
 
@@ -109,6 +115,18 @@ def _least_generator(q, power):
         if all(power(g, e) != 1 for e in exps):
             return g
     raise RuntimeError(f"no multiplicative generator found in GF({q})")
+
+
+def _poly_str(coeffs, var):
+    """sum(coeffs[i] var^i), highest power first and zero terms left out;
+    "0" when every coefficient is 0."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c:
+            head = "" if c == 1 and i else str(c)
+            terms.append(head + (var if i else "") + (f"^{i}" if i > 1 else ""))
+    return "+".join(terms) if terms else "0"
 
 
 def _gather(T, flat, a, b):
@@ -208,20 +226,22 @@ class GF:
     def _build_tables(self):
         p, r, q = self.p, self.r, self.q
         self._pows = p ** np.arange(r, dtype=np.int64)
-        self._digits = (np.arange(q)[:, None] // self._pows) % p
+        digits = self._digits = np.empty((q, r), dtype=np.min_scalar_type(p - 1))
+        for i in range(r):   # digit i is the middle index in shape (q/p^(i+1), p, p^i)
+            digits.reshape(-1, p, p ** i, r)[..., i] = np.arange(p)[:, None]
         self._x_r = np.array(self.modulus[:r], dtype=np.int64)
-        gen = _least_generator(q, self._code_pow)
-        self._gen = gen
-        # exp[n:n+k] = exp[:k] * g^n, doubling n; M is M(g^n).  Two
-        # periods of g^n, then a zero tail that log 0 points into:
+        self._gen = gen = _least_generator(q, self._code_pow)
+        # exp[n:n+k] = exp[:k] * g^n, doubling n; M is M(g^n), the 1 x 1
+        # matrix (g^n) lowered, whose square is exact in its float dtype.
+        # Two periods of g^n, then a zero tail that log 0 points into:
         # log a + log b lands in the tail when a or b is 0
         exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
         exp[0] = 1
-        M = self._mul_matrices(gen)
+        M = self._mul_matrices(gen).astype(linalg._lowered_dtype(self, 1))
         n = 1
         while n < q - 1:
             k = min(n, q - 1 - n)
-            exp[n:n + k] = (self._digits[exp[:k]] @ M % p) @ self._pows
+            exp[n:n + k] = linalg.linmap_apply(self, exp[:k, None], M)[:, 0]
             M = M @ M % p
             n += k
         exp[q - 1:2 * (q - 1)] = exp[: q - 1]
@@ -231,15 +251,10 @@ class GF:
         inv = np.zeros(q, dtype=np.int64)
         inv[1:] = exp[(q - 1 - log[1:]) % (q - 1)]
         self._inv = inv
-        self._neg = ((-self._digits) % p) @ self._pows
-        # phi(a) = g^(p log a), 0 fixed; frob[e] = phi applied e times
-        phi = exp[log * p % (q - 1)]
-        phi[0] = 0
-        frob = np.empty((r, q), dtype=np.int64)
-        frob[0] = np.arange(q)
-        for e in range(1, r):
-            frob[e] = phi[frob[e - 1]]
-        self._frob = frob
+        # -1 is g^((q-1)/2) for odd p and 1 for p = 2; log 0 stays in the
+        # zero tail
+        self._neg = exp[log + ((q - 1) // 2 if p > 2 else 0)]
+        self._frob = {}      # e -> the row of x^(p^e), built by _frob_raw
         self._add_t = self._mul_t = None
         if r > 1 and q <= _FULL_TABLE_Q:
             if p > 2:
@@ -250,7 +265,7 @@ class GF:
                 # wrap; p = 2 adds by XOR and needs no table
                 add = np.zeros((q, q), dtype=np.int64)
                 for i in range(r - 1, -1, -1):
-                    d = self._digits[:, i].astype(np.uint8)
+                    d = self._digits[:, i]
                     add *= p
                     add += (d[:, None] + d[None, :]) % p
                 self._add_t = add
@@ -303,8 +318,9 @@ class GF:
             if isinstance(a, int) and isinstance(b, int):
                 return self._add_flat[a * self.q + b]
             return _gather(self._add_t, self._add_flat, a, b)
-        d = (self._digits[a] + self._digits[b]) % self.p
-        return d @ self._pows
+        # widened first: a uint8 digit sum 2(p-1) wraps from p = 131
+        d = np.add(self._digits[a], self._digits[b], dtype=np.int64)
+        return (d % self.p) @ self._pows
 
     def neg(self, a):
         scalar, (a,) = self._check(a)
@@ -369,11 +385,16 @@ class GF:
 
     def _frob_raw(self, a, e):
         """x -> x^(p^e); returns a itself when e = 0 mod r, so callers
-        must not write into the result."""
+        must not write into the result.  The row of x^(p^e) over every
+        code, g^(k p^e) at g^k and 0 at 0, is built on first use and kept."""
         e %= self.r
         if e == 0:
             return a
-        return self._frob[e][a]
+        row = self._frob.get(e)
+        if row is None:
+            row = self._frob[e] = self._exp[self._log * self.p ** e % (self.q - 1)]
+            row[0] = 0
+        return row[a]
 
     def _neg_raw(self, a):
         if self.r == 1:
@@ -435,18 +456,7 @@ class GF:
         return tuple((a // self.p ** i) % self.p for i in range(self.r))
 
     def poly_str(self, a, var: str = "a") -> str:
-        digits = self.element_digits(a)
-        terms = []
-        for i in range(self.r - 1, -1, -1):
-            c = digits[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else str(c)
-                terms.append(f"{head}{var}" + (f"^{i}" if i > 1 else ""))
-        return "+".join(terms) if terms else "0"
+        return _poly_str(self.element_digits(a), var)
 
     def to_dict(self):
         return {"p": self.p, "r": self.r, "modulus": list(self.modulus)}
@@ -467,14 +477,4 @@ class GF:
     def __repr__(self):
         if self.r == 1:
             return f"GF({self.q})"
-        terms = []
-        for i in range(self.r, -1, -1):
-            c = self.modulus[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else str(c)
-                terms.append(f"{head}x" + (f"^{i}" if i > 1 else ""))
-        return f"GF({self.q})[" + "+".join(terms) + "]"
+        return f"GF({self.q})[{_poly_str(self.modulus, 'x')}]"

@@ -177,10 +177,12 @@ def kron_batch(F, C, D) -> np.ndarray:
     return out
 
 
-def _digit_rows(digits, V):
-    # (..., m) codes -> (..., m*r) digits, digit i of V[..., k] in column
-    # k*r + i, gathered from the (q, r) digit table ``digits``
-    return np.take(digits, V, axis=0).reshape(V.shape[:-1] + (-1,))
+def _digit_rows(F, V, dtype):
+    # (..., m) codes -> (..., m*r) digits in ``dtype``, digit i of V[..., k]
+    # in column k*r + i: rows gathered from F's narrow (q, r) digit table,
+    # and only those rows cast
+    rows = np.take(F._digits, V, axis=0).astype(dtype)
+    return rows.reshape(V.shape[:-1] + (-1,))
 
 
 def _digit_codes(F, Y):
@@ -219,20 +221,18 @@ def linmap_apply(F, V, L) -> np.ndarray:
     if L.shape[-2] != m * r:
         raise ValueError(f"lowered map has {L.shape[-2]} rows, expected {m * r}")
     m2 = L.shape[-1] // r
-    # digits in L's dtype, cast per call: GF keeps no float tables
-    digits = F._digits.astype(L.dtype)
     if L.ndim == 2:
         rows = V.reshape(-1, m)
         out = np.empty((len(rows), m2), dtype=np.int64)
         for lo in range(0, len(rows), _APPLY_BLOCK):
-            X = _digit_rows(digits, rows[lo:lo + _APPLY_BLOCK])
+            X = _digit_rows(F, rows[lo:lo + _APPLY_BLOCK], L.dtype)
             out[lo:lo + len(X)] = _digit_codes(F, X @ L)
         return out.reshape(V.shape[:-1] + (m2,))
     if L.ndim != 3 or V.ndim > 2:
         raise ValueError(f"cannot apply a map stack {L.shape} to vectors {V.shape}")
     out = np.empty((len(L),) + V.shape[:-1] + (m2,), dtype=np.int64)
     step = max(1, _APPLY_BLOCK // max(1, int(np.prod(V.shape[:-1]))))
-    X = _digit_rows(digits, V)
+    X = _digit_rows(F, V, L.dtype)
     for lo in range(0, len(L), step):
         out[lo:lo + step] = _digit_codes(F, np.matmul(X, L[lo:lo + step]))
     return out

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringforge import GF
+from ringforge import GF, linalg
 
 from oracles import least_generator, naive_powers, poly_code_mul
 
@@ -386,18 +386,23 @@ def test_field_tables_match_naive(p, r):
     assert F._exp[tail:].tolist() == [0] * (tail + 1)
     assert F._log[powers].tolist() == list(range(q - 1))
     assert F._log[0] == tail
-    # frob[e] is a -> a^(p^e), which is g^(k p^e) for a = g^k, 0 fixed
-    assert F._frob.shape == (r, q)
-    for e in range(r):
+    # the Frobenius power e is a -> a^(p^e), which is g^(k p^e) for
+    # a = g^k, 0 fixed; e = r wraps to the identity
+    for e in range(r + 1):
         want = [0] * q
         for k, a in enumerate(powers):
             want[a] = powers[k * p ** e % (q - 1)]
-        assert F._frob[e].tolist() == want
+        assert F._frob_raw(np.arange(q), e).tolist() == want
+    # the digit table in the narrowest dtype holding p - 1, and negation
+    # digit by digit
+    pows = [p ** i for i in range(r)]
+    digits = np.array([[(a // w) % p for w in pows] for a in range(q)])
+    assert F._digits.dtype == np.min_scalar_type(p - 1)
+    assert np.array_equal(F._digits, digits)
+    assert F._neg.tolist() == ((-digits % p) @ np.array(pows)).tolist()
     # addition against digit-wise addition, one row at a time: the table
     # gather for p > 2 and q <= 1024, the XOR for p = 2, which builds no
     # table, mod p for prime fields and digit sums past the tables
-    pows = [p ** i for i in range(r)]
-    digits = np.array([[(a // w) % p for w in pows] for a in range(q)])
     assert (F._add_t is None) == (p == 2 or r == 1 or q > 1024)
     for a in range(q):
         row = ((digits[a] + digits) % p) @ np.array(pows)
@@ -415,6 +420,82 @@ def test_gf_2_16_generator_pinned():
     assert F._gen == 3
     assert F.multiplicative_generator() == 3
     assert F.mul(F._exp[12345], F._exp[65535 - 12345]) == 1
+
+
+def test_gf_2_16_tables_footprint():
+    # a uint8 digit table and one int64 row per Frobenius power used keep
+    # the tables held after three powers under 8 MiB
+    F = GF(2, 16)
+    a = np.arange(F.q)
+    for e in (1, 2, 3):
+        F._frob_raw(a, e)
+    held = 0
+    for v in vars(F).values():
+        for t in v.values() if isinstance(v, dict) else (v,):
+            held += t.nbytes if isinstance(t, np.ndarray) else 0
+    assert held <= 8 * 2 ** 20
+    # phi is Z_2-linear: phi(a) is the XOR of (x^i)^2 over the set bits i
+    sq = [poly_code_mul(2, F.modulus, 1 << i, 1 << i) for i in range(16)]
+    phi = np.zeros(F.q, dtype=np.int64)
+    for i, c in enumerate(sq):
+        phi ^= (a >> i & 1) * c
+    want = a
+    for e in range(1, 16):
+        want = phi[want]
+        assert np.array_equal(F._frob_raw(a, e), want)
+
+
+def _naive_rank(p, modulus, M):
+    """Rank of a list of rows over GF(p^r) by fraction-free elimination in
+    python, multiplying by ``poly_code_mul`` and subtracting digit by
+    digit."""
+    r = len(modulus) - 1
+
+    def comb(c, x, f, y):   # c*x - f*y
+        cx, fy = poly_code_mul(p, modulus, c, x), poly_code_mul(p, modulus, f, y)
+        return sum((cx // p ** i - fy // p ** i) % p * p ** i for i in range(r))
+
+    rows, rank = [list(row) for row in M], 0
+    for j in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        c = rows[rank][j]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][j]
+            rows[i] = [comb(c, x, f, y) for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", [131, 251])
+def test_digit_ops_past_uint8_sums(p):
+    # past the full tables two uint8 digits sum to up to 2(p-1), which
+    # wraps uint8 from p = 131: the digit-path ops against naive digit-wise
+    # arithmetic on seeded random codes
+    F = GF(p, 2)
+    rng = np.random.default_rng(p)
+    a, b, f = rng.integers(0, F.q, size=(3, 2000))
+
+    def code(lo, hi):
+        return lo % p + p * (hi % p)
+
+    fb = np.array([poly_code_mul(p, F.modulus, int(x), int(y)) for x, y in zip(f, b)])
+    assert F.add(a, b).tolist() == code(a % p + b % p, a // p + b // p).tolist()
+    assert F.sub(a, b).tolist() == code(a % p - b % p, a // p - b // p).tolist()
+    assert F.neg(a).tolist() == code(-(a % p), -(a // p)).tolist()
+    want = code(a % p - fb % p, a // p - fb // p)
+    assert F._sub_mul_raw(a, f, b).tolist() == want.tolist()
+    # ranks of 5 x 6 matrices whose last rows are combinations of the
+    # first k
+    for k in (1, 2, 3, 5):
+        M = rng.integers(0, F.q, size=(5, 6))
+        M[k:] = 0
+        for i in range(k, 5):
+            for j in range(k):
+                M[i] = F.add(M[i], F.mul(int(rng.integers(F.q)), M[j]))
+        assert linalg.rank(F, M) == _naive_rank(p, F.modulus, M.tolist())
 
 
 def test_automorphism_exponents(F):
