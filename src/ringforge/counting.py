@@ -51,18 +51,6 @@ def count_t_full(r: int, s: int, lam: int) -> int:
     return comb(r + s - 1, s) * comb(r + lam - 1, lam)
 
 
-def _prime_power(q: int):
-    if q < 2:
-        raise ValueError(f"q must be a prime power >= 2, got {q}")
-    primes = _prime_factors(q)
-    if len(primes) != 1:
-        raise ValueError(f"q must be a prime power, got {q}")
-    p, k = primes[0], 1
-    while p ** k != q:
-        k += 1
-    return p, k
-
-
 def _mul_trunc(a, b, deg):
     out = [0] * (deg + 1)
     for i, ai in enumerate(a):
@@ -81,16 +69,15 @@ def congruence_class_count(q: int, s: int) -> int:
         prod_{k>=1} (1 + t^k)^e (1 - q t^{2k})^{-1} (1 - t^k)^{-1},
 
     e = 1 for even q and 2 for odd q, read off at degree s."""
-    _prime_power(q)
+    if len(_prime_factors(q)) != 1:
+        raise ValueError(f"q must be a prime power >= 2, got {q}")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     e = 1 if q % 2 == 0 else 2
     series = [1] + [0] * s
     for k in range(1, s + 1):
         one_plus = [0] * (s + 1)
-        one_plus[0] = 1
-        if k <= s:
-            one_plus[k] = 1
+        one_plus[0] = one_plus[k] = 1
         for _ in range(e):
             series = _mul_trunc(series, one_plus, s)
         geo = [0] * (s + 1)

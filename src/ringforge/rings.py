@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import classify, linalg
 from .classify import _group_actions, _orbit_bfs, _twist_maps
 from .gf import GF
 
@@ -170,10 +170,9 @@ class Ring:
         return int(linalg.encode_rows(np.asarray(x, dtype=np.int64), self.field.q))
 
     def element_array(self) -> np.ndarray:
-        if self.order > 10 ** 6:
-            raise ValueError(
-                f"refusing to materialize {self.order} elements, over the bound of 10^6"
-            )
+        need = 8 * self.order * self.n
+        if need > classify._GROUND_BYTES:
+            raise classify._over_bytes(f"element array of {self.order} elements", need)
         return linalg.decode_codes(np.arange(self.order), self.field.q, self.n)
 
     # -- arithmetic --
@@ -562,7 +561,14 @@ def verify_witness(specA: RingSpec, specD: RingSpec, witness: IsoWitness,
     return True
 
 
-def _check_same_invariants(specA: RingSpec, specD: RingSpec):
+def _check_same_invariants(specA: RingSpec, specD: RingSpec) -> bool:
+    """False when the orders differ, as they do when the characteristics
+    differ: the rings are distinct.  True when ``iso_test`` can compare
+    the presentations.  Raises on the rest, another field presentation or
+    the same order with another (r, s, t, lambda), which may still be
+    isomorphic."""
+    if specA.order != specD.order:
+        return False
     if specA.field != specD.field:
         raise ValueError(
             f"field presentations differ: {specA.field!r} vs {specD.field!r}"
@@ -571,6 +577,7 @@ def _check_same_invariants(specA: RingSpec, specD: RingSpec):
         raise ValueError(
             f"invariant mismatch: {specA.invariants()} vs {specD.invariants()}"
         )
+    return True
 
 
 def _span_invariant(F: GF, mats: np.ndarray, sigma) -> np.ndarray:
@@ -581,51 +588,71 @@ def _span_invariant(F: GF, mats: np.ndarray, sigma) -> np.ndarray:
     sigma_i + sigma_j = theta, so ``classify._twist_maps`` maps its block
     (x, theta - x) to C_x^T M_(x, theta - x) Frob_x(C_(theta - x)), of the
     same rank, and the entrywise Frobenius keeps its support and rank; a
-    point that mixes classes can change rank."""
+    point that mixes classes can change rank.
+    A class of k matrices has (q^k - 1)/(q - 1) points, the coefficient
+    vectors whose first nonzero entry, at i, is 1: per i, the keys of
+    ``linalg.digit_sums``, decoded and imaged ``classify._BFS_CHUNK`` at a
+    time.  The keys and the codes, 16 bytes a point, and one image block
+    (``classify._block_bytes``) are charged against
+    ``classify._GROUND_BYTES`` before anything is built."""
     t, s, _ = mats.shape
     q = F.q
     flat = mats.reshape(t, s * s)
     first = (flat != 0).argmax(axis=1)
     sig = np.asarray(sigma)
     theta = (sig[first // s] + sig[first % s]) % F.r
-    out = []
-    for th in np.unique(theta):
-        sub = flat[theta == th]
-        codes = linalg.decode_codes(np.arange(1, q ** len(sub)), q, len(sub))
-        lead = codes[np.arange(len(codes)), (codes != 0).argmax(axis=1)]
-        points = codes[lead == 1]                       # first nonzero entry 1
-        M = linalg.linmap_apply(F, points, linalg.lower(F, sub)).reshape(-1, s, s)
-        Mt = M.transpose(0, 2, 1)
-        forms = [M] if any(sigma) else [M, F._add_raw(M, Mt), F._add_raw(M, F._neg_raw(Mt))]
-        code = np.full(len(M), th, dtype=np.int64)
-        for X in forms:
-            code = code * (s + 1) + linalg.rref_batch(F, X)[1]
-        out.append(code)
-    return np.sort(np.concatenate(out))
+    classes = [(th, flat[theta == th]) for th in np.unique(theta)]
+    total = sum((q ** len(sub) - 1) // (q - 1) for _, sub in classes)
+    need = 16 * total + classify._block_bytes(min(total, classify._BFS_CHUNK), t + s * s)
+    if need > classify._GROUND_BYTES:
+        raise classify._over_bytes(f"span invariant of {total} points", need)
+    out, at = np.empty(total, dtype=np.int64), 0
+    for th, sub in classes:
+        k, L = len(sub), linalg.lower(F, sub)
+        w = [q ** e for e in range(k - 1, -1, -1)]      # key weight of coefficient j
+        for i in range(k):                              # the first nonzero one
+            keys = linalg.digit_sums(w[i], w[i + 1:], q, np.int64)
+            for lo in range(0, len(keys), classify._BFS_CHUNK):
+                points = linalg.decode_codes(keys[lo:lo + classify._BFS_CHUNK], q, k)
+                M = linalg.linmap_apply(F, points, L).reshape(-1, s, s)
+                Mt = M.transpose(0, 2, 1)
+                forms = ([M] if any(sigma)
+                         else [M, F._add_raw(M, Mt), F._add_raw(M, F._neg_raw(Mt))])
+                code = np.full(len(M), th, dtype=np.int64)
+                for X in forms:
+                    code = code * (s + 1) + linalg.rref_batch(F, X)[1]
+                out[at:at + len(M)] = code
+                at += len(M)
+    out.sort()
+    return out
 
 
 def iso_test(specA: RingSpec, specD: RingSpec) -> IsoWitness | None:
     """Search for an isomorphism witness; None means there is none.
 
-    The sigma lists must agree as multisets, the tails must align
-    (``_tail_alignment``) and the span invariants, which carry the theta
-    of each A_k, must agree.  No isomorphism joins U coordinates that
+    Rings of different orders are distinct; presentations of one order
+    over another field presentation or with another (r, s, t, lambda)
+    raise a ValueError (``_check_same_invariants``).  The sigma lists
+    must agree as multisets, the tails must align (``_tail_alignment``)
+    and the span invariants, which carry the theta of each A_k, must
+    agree.  No isomorphism joins U coordinates that
     twist differently, so D's U coordinates are relabelled to A's sigma
     order, k-th occurrence to k-th occurrence.  ``classify._orbit_bfs``
     grows the orbit of span(A_1..A_t) under ``classify._group_actions``
     at A's sigma, the sigma-stabilizer with the Frobenius folded in, until
     span(D_1..D_t) appears, so the orbit is closed once for all Frobenius
-    powers, unless a level predicted over ``classify._GROUND_BYTES``
-    raises first.  The witness (e, C) is read off the tree path from
-    (0, I) by the rule of ``_group_actions``, the relabelling is composed
-    in, and B is solved from the image of the Frob_e(A_k).  That image is
-    nonzero only where sigma_i + sigma_j = theta_k, so B keeps theta and
-    the witness is an isomorphism; one that ``verify_witness`` does not
-    certify raises.
+    powers, unless the span invariant or a level predicted over
+    ``classify._GROUND_BYTES`` raises first.  The witness (e, C) is read
+    off the tree path from (0, I) by the rule of ``_group_actions``, the
+    relabelling is composed in, and B is solved from the image of the
+    Frob_e(A_k).  That image is nonzero only where
+    sigma_i + sigma_j = theta_k, so B keeps theta and the witness is an
+    isomorphism; one that ``verify_witness`` does not certify raises.
     At s = t = 1 the spans meet at once: sigma 0, C = [[1]], B = [[d/a]].
     """
     ringA, ringD = Ring(specA), Ring(specD)
-    _check_same_invariants(specA, specD)
+    if not _check_same_invariants(specA, specD):
+        return None
     F = ringA.field
     s, t = ringA.s, ringA.t
     pi = _tail_alignment(ringA.sigma, ringD.sigma, 0)     # A coordinate -> D's

@@ -449,7 +449,8 @@ def iso_exhaustive(specA, specD):
                                  _tail_alignment, verify_witness)
 
     ringA, ringD = Ring(specA), Ring(specD)
-    _check_same_invariants(specA, specD)
+    if not _check_same_invariants(specA, specD):
+        return None
     F = ringA.field
     s, t = ringA.s, ringA.t
     if sorted(ringA.sigma) != sorted(ringD.sigma):
@@ -482,3 +483,33 @@ def iso_exhaustive(specA, specD):
             if verify_witness(specA, specD, witness):
                 return witness
     return None
+
+
+def span_invariant_all_codes(F, mats, sigma) -> np.ndarray:
+    """``rings._span_invariant`` by decoding every nonzero coefficient
+    vector of each theta class, all q^k - 1 at once, and keeping the ones
+    whose first nonzero entry is 1.  The codes come from the package's
+    ``lower``, ``linmap_apply`` and ``rref_batch``; only the enumeration
+    of the points is the oracle's own."""
+    from ringforge import linalg
+
+    t, s, _ = mats.shape
+    q = F.q
+    flat = mats.reshape(t, s * s)
+    first = (flat != 0).argmax(axis=1)
+    sig = np.asarray(sigma)
+    theta = (sig[first // s] + sig[first % s]) % F.r
+    out = []
+    for th in np.unique(theta):
+        sub = flat[theta == th]
+        codes = linalg.decode_codes(np.arange(1, q ** len(sub)), q, len(sub))
+        lead = codes[np.arange(len(codes)), (codes != 0).argmax(axis=1)]
+        points = codes[lead == 1]
+        M = linalg.linmap_apply(F, points, linalg.lower(F, sub)).reshape(-1, s, s)
+        Mt = M.transpose(0, 2, 1)
+        forms = [M] if any(sigma) else [M, F._add_raw(M, Mt), F._add_raw(M, F._neg_raw(Mt))]
+        code = np.full(len(M), th, dtype=np.int64)
+        for X in forms:
+            code = code * (s + 1) + linalg.rref_batch(F, X)[1]
+        out.append(code)
+    return np.sort(np.concatenate(out))

@@ -157,8 +157,9 @@ def test_iso_twisted_witness_off_the_fixed_subfield(capsys, tmp_path):
 
 def test_iso_budget_error_names_only_the_variable(capsys, tmp_path, monkeypatch):
     # the one limit on the search is classify._GROUND_BYTES; ringforge iso
-    # has no flag for it
-    monkeypatch.setattr(classify, "_GROUND_BYTES", 0)
+    # has no flag for it.  256 bytes admit the span invariant of one point
+    # and its image block, not the orbit search
+    monkeypatch.setattr(classify, "_GROUND_BYTES", 256)
     left = write_spec(tmp_path, "a.json", prime_spec(3, [[[1, 0], [0, 0]]]))
     right = write_spec(tmp_path, "d.json", prime_spec(3, [[[0, 0], [0, 1]]]))
     code, out, err = run_cli(capsys, "iso", "--left", left, "--right", right)
@@ -186,7 +187,22 @@ def test_iso_invariant_mismatch_is_a_clean_no(capsys, tmp_path):
     assert code == 0
     res = json.loads(out)
     assert res["isomorphic"] is False
-    assert res["reason"].startswith("invariant mismatch")
+    assert res["witness"] is None
+
+
+@pytest.mark.parametrize("pair", ["dead index as annihilator", "GF(9) moduli"])
+def test_iso_refuses_presentations_it_cannot_compare(capsys, tmp_path, pair):
+    # both pairs are isomorphic: no answer is printed, and the exit is 2
+    if pair == "GF(9) moduli":
+        a, d = (RingSpec(GF(3, 2, modulus=m), 1, 1, 0, np.array([[[1]]], np.int64), (0,), (0,))
+                for m in ((1, 0, 1), (2, 1, 1)))
+    else:
+        a, d = prime_spec(2, [[1, 0], [0, 0]]), prime_spec(2, [[1]], lam=1)
+    left = write_spec(tmp_path, "a.json", a)
+    right = write_spec(tmp_path, "d.json", d)
+    code, out, err = run_cli(capsys, "iso", "--left", left, "--right", right)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_iso_missing_file(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ringforge import (
     GF,
     AutomorphismConstraintError,
+    BudgetExceededError,
     IsoWitness,
     Ring,
     RingSpec,
@@ -17,12 +19,12 @@ from ringforge import (
     ring_structure,
     verify_witness,
 )
-from ringforge import gl, rings
+from ringforge import classify, gl, rings
 from ringforge import linalg as la
 
 from conftest import prime_spec
 from oracles import (brute_structure, iso_exhaustive, ring_mul_scalar,
-                     tail_alignment_greedy)
+                     span_invariant_all_codes, tail_alignment_greedy)
 
 
 def gf4_spec(mats, sigma, theta, lam=0):
@@ -77,9 +79,12 @@ def test_element_index_round_trip(R8):
     assert R8.element(5) == tuple(E[5])
 
 
-def test_element_array_bound():
-    ring = Ring(prime_spec(2, [[1]], lam=17))       # 2^20 elements
-    with pytest.raises(ValueError, match=r"1048576 elements, over the bound of 10\^6"):
+def test_element_array_bound(monkeypatch):
+    ring = Ring(prime_spec(2, [[1]], lam=17))       # 2^20 elements of 20 codes
+    monkeypatch.setattr(classify, "_GROUND_BYTES", 8 * 2 ** 20 * 20 - 1)
+    with pytest.raises(BudgetExceededError,
+                       match=r"1048576 elements needs about 167772160 bytes.*"
+                             r"ringforge\.classify\._GROUND_BYTES"):
         ring.element_array()
 
 
@@ -549,10 +554,29 @@ def test_tail_alignment_matches_greedy_pairing(t, r, data):
 
 
 def test_iso_invariant_mismatch():
-    a = prime_spec(2, [[1]])
-    d = prime_spec(2, np.eye(2, dtype=np.int64))
+    # orders 8 and 16: distinct rings
+    assert iso_test(prime_spec(2, [[1]]), prime_spec(2, np.eye(2, dtype=np.int64))) is None
+    # order 16 both, another (s, t, lambda): refused, not answered
+    a, d = isomorphic_across_presentations()
     with pytest.raises(ValueError, match="invariant mismatch"):
         iso_test(a, d)
+
+
+def isomorphic_across_presentations():
+    """s = 2, t = 1, A = [[1, 0], [0, 0]] and s = 1, t = 1, lambda = 1,
+    A = [[1]] over GF(2): U index 2 is dead, so it acts as an annihilator
+    coordinate, and (a, u1, u2, w1) -> (a, u1, w1, u2) is an isomorphism."""
+    return (prime_spec(2, [[1, 0], [0, 0]]), prime_spec(2, [[1]], lam=1))
+
+
+def test_isomorphic_across_presentations():
+    a, d = map(Ring, isomorphic_across_presentations())
+    perm = np.array([d.index(tuple(np.array(a.element(i))[[0, 1, 3, 2]]))
+                     for i in range(a.order)])
+    assert sorted(perm) == list(range(16))
+    for table in ("mul_table", "add_table"):
+        TA, TD = getattr(a, table)(), getattr(d, table)()
+        assert (perm[TA] == TD[perm[:, None], perm[None, :]]).all()
 
 
 def test_iso_field_presentation_mismatch():
@@ -922,6 +946,78 @@ def test_span_invariant_keeps_theta_classes_apart():
                           rings._span_invariant(F, d.matrices, d.sigma))
     w = iso_test(a, d)
     assert w is not None and verify_witness(a, d, w)
+
+
+# GF(2), GF(3), GF(5), GF(4), GF(8), GF(9); the oracle decodes all q^t - 1
+# codes, so t <= s^2 is cut where q^t passes _SPAN_ORACLE_CODES
+SPAN_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)]
+_SPAN_ORACLE_CODES = 20000
+
+
+@pytest.mark.parametrize("p,r", SPAN_FIELDS)
+def test_span_invariant_matches_all_codes_oracle(p, r):
+    F = GF(p, r)
+    rng = np.random.default_rng([p, r])
+    makers = (central_spec, random_spec) if r > 1 else (central_spec,)   # mixed sigma
+    for s in (1, 2, 3):
+        for t in range(1, s * s + 1):
+            if F.q ** t > _SPAN_ORACLE_CODES:
+                break
+            for make in makers:
+                a = make(rng, F, s, t, 0)
+                assert np.array_equal(rings._span_invariant(F, a.matrices, a.sigma),
+                                      span_invariant_all_codes(F, a.matrices, a.sigma)), a
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_span_invariant_block_size_does_not_change_it(monkeypatch, chunk):
+    monkeypatch.setattr(classify, "_BFS_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for p, r, s, t in [(3, 1, 2, 4), (2, 2, 2, 3), (3, 2, 3, 2), (2, 1, 3, 7)]:
+        F = GF(p, r)
+        a = random_spec(rng, F, s, t, 0)
+        assert np.array_equal(rings._span_invariant(F, a.matrices, a.sigma),
+                              span_invariant_all_codes(F, a.matrices, a.sigma))
+
+
+def _eij(t):
+    """The first t of the nine 3 x 3 matrix units."""
+    return np.eye(9, dtype=np.int64)[:t].reshape(t, 3, 3)
+
+
+def test_span_invariant_peak_within_its_charge():
+    """GF(5), s = 3, t = 8: 97,656 points.  The keys, the codes and one
+    image block stay under the bytes charged against the limit (55 MB);
+    decoding all 5^8 - 1 coefficient vectors at once peaks near 70 MB."""
+    F, E = GF(5), _eij(8)
+    points = (5 ** 8 - 1) // 4
+    charge = 16 * points + classify._block_bytes(min(points, classify._BFS_CHUNK), 8 + 9)
+    rings._span_invariant(F, E, (0, 0, 0))
+    tracemalloc.start()
+    try:
+        rings._span_invariant(F, E, (0, 0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= charge
+
+
+def test_span_invariant_refused_before_any_key(monkeypatch):
+    def no_keys(*args, **kwargs):
+        raise AssertionError("keys were built")
+
+    monkeypatch.setattr(la, "digit_sums", no_keys)
+    C = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    # GF(11), t = 9: 235,794,769 points, over the default limit
+    a = prime_spec(11, _eij(9))
+    with pytest.raises(BudgetExceededError,
+                       match=r"235794769 points.*ringforge\.classify\._GROUND_BYTES"):
+        iso_test(a, equivalent_spec(a, C))
+    # GF(5), t = 4: 156 points, over a lowered limit
+    monkeypatch.setattr(classify, "_GROUND_BYTES", 10 ** 4)
+    b = prime_spec(5, _eij(4))
+    with pytest.raises(BudgetExceededError, match=r"span invariant of 156 points"):
+        iso_test(b, equivalent_spec(b, C))
 
 
 def test_iso_relabels_permuted_sigma():
